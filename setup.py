@@ -1,6 +1,6 @@
 """Build script for the optional compiled water-fill kernel.
 
-The package is fully functional without the extension: tvdp._backend falls
+The package is fully functional without the extension: tvdp.oracle falls
 back to the pure-Python twin when tvdp._kernels is missing, so a failed
 compile only costs speed.
 """

@@ -10,7 +10,6 @@ independent certification oracles and a Monte Carlo rollout estimator, and
 :mod:`tvdp.cli` the command-line front end.
 """
 
-from ._backend import backend_name
 from .finite import (
     StagePlan,
     evaluate_policy_finite,
@@ -53,6 +52,7 @@ from .oracle import (
     SupportPartition,
     WaterfillResult,
     as_distribution,
+    backend_name,
     oscillation,
     partition_levels,
     tv_distance,

@@ -2,8 +2,9 @@
 
 Reference twin of the compiled ``tvdp._kernels`` module. Both implement the
 same arithmetic in the same order, so their outputs agree bit for bit; this
-module is what runs when the extension is unavailable (or when
-``TVDP_BACKEND=python`` forces it).
+module is what runs when the extension is unavailable. Its
+:func:`sorted_groups` is also the package's one tie rule:
+``tvdp.oracle.partition_levels`` groups levels with it.
 
 The kernel solves
 
@@ -19,6 +20,23 @@ argmax set if it carries no nominal mass).
 import numpy as np
 
 BACKEND_NAME = "python"
+
+
+def sorted_groups(levels, tie_tol):
+    """Stable ascending order of ``levels`` plus start offsets of its level sets.
+
+    An entry joins the current set when it exceeds the set's anchor (its
+    smallest member) by at most ``tie_tol * max(1, |anchor|)``.
+    """
+    order = np.argsort(levels, kind="stable")
+    starts = [0]
+    anchor = levels[order[0]]
+    for k in range(1, levels.shape[0]):
+        lv = levels[order[k]]
+        if lv - anchor > tie_tol * max(1.0, abs(anchor)):
+            starts.append(k)
+            anchor = lv
+    return order, starts
 
 
 def waterfill(mu, levels, radius, tie_tol):
@@ -43,17 +61,7 @@ def waterfill(mu, levels, radius, tie_tol):
         ``r_max = 2 (1 - mu(argmax set))``.
     """
     n = mu.shape[0]
-    order = np.argsort(levels, kind="stable")
-
-    # group boundaries of the ascending level sets, anchored at each group's
-    # smallest member
-    starts = [0]
-    anchor = levels[order[0]]
-    for k in range(1, n):
-        lv = levels[order[k]]
-        if lv - anchor > tie_tol * max(1.0, abs(anchor)):
-            starts.append(k)
-            anchor = lv
+    order, starts = sorted_groups(levels, tie_tol)
 
     nu = mu.copy()
     if len(starts) == 1:

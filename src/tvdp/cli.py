@@ -15,10 +15,14 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
+
+import numpy as np
 
 from . import __version__
 from .finite import (
+    _backup,
     finite_solution_record,
     initial_worst_value,
     solve_finite,
@@ -28,6 +32,7 @@ from .infinite import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PolicyIterationError,
+    _contract_policy,
     policy_iteration,
     stationary_solution_record,
     sweep_radius_infinite,
@@ -57,13 +62,20 @@ EXIT_NO_CONVERGENCE = 2
 GRID_SNAP = 1e-12
 MAX_GRID_POINTS = 10**6
 
+# flags taking a comma list of numbers, and a value argparse would take for
+# an option because it starts with a minus sign
+LIST_FLAGS = ("--mu", "--levels")
+NEGATIVE_LIST = re.compile(r"-[\d.]")
+
 
 def main(argv=None):
     """Entry point; returns the process exit code."""
     _setup_logging()
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; that slot is reserved for
         # non-convergence here, so remap. --help/--version exit 0.
@@ -151,9 +163,9 @@ def _cmd_sweep(args):
         model = model.with_horizon(args.horizon)
     grid = _parse_grid(args.radius_grid)
     if model.is_finite:
-        points = sweep_radius_finite(model, grid, jobs=args.jobs)
+        points = sweep_radius_finite(model, grid)
     else:
-        points = sweep_radius_infinite(model, grid, jobs=args.jobs)
+        points = sweep_radius_infinite(model, grid)
     _emit(sweep_csv(points, model.states), args.out)
     return EXIT_OK
 
@@ -177,11 +189,13 @@ def _cmd_simulate(args):
     policy = _parse_label_list(args.policy)
     kernels = None
     if args.kernel == "worst":
-        sol = value_iteration(model)
-        if not sol.converged:
-            print("error: could not solve for the worst-case kernel", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        kernels = sol.worst_kernel_matrix
+        if model.is_finite:
+            raise ModelError("simulate needs a model without a horizon")
+        # the adversary's rows against this policy's own robust values
+        idx = model.policy_indices(policy)
+        v = _contract_policy(model, idx, np.zeros(model.n_states), DEFAULT_TIE_TOL)
+        r = model.scalar_radius()
+        kernels = _backup(model, v, r, DEFAULT_TIE_TOL, policy_idx=idx)[2]
     cfg = RolloutConfig(
         episodes=args.episodes,
         horizon_cap=args.horizon_cap,
@@ -273,7 +287,6 @@ def _build_parser():
     p.add_argument("--radius-grid", required=True, metavar="A:B:S",
                    help="grid start:stop:step, endpoints included within 1e-12")
     p.add_argument("--horizon", type=int, help="override the model's horizon")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for grid points")
     _add_out(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -296,8 +309,8 @@ def _build_parser():
         help="Monte Carlo rollout of a stationary policy",
         description="Estimates the discounted cost of a fixed policy from "
         "every start state by simulation; prints JSON with means and "
-        "standard errors. --kernel worst solves the model first and rolls "
-        "out under the maximizing kernel.",
+        "standard errors. --kernel worst solves for the policy's robust "
+        "values first and rolls out under the kernel that maximizes them.",
     )
     _add_model(p)
     p.add_argument("--policy", required=True,
@@ -366,6 +379,17 @@ def _emit_record(record, out):
         _emit(serialize_solution(record), out)
     else:
         _emit(solution_csv(record), out)
+
+
+def _attach_negative_lists(argv):
+    """Join ``--mu -1,2`` into ``--mu=-1,2`` so the list is read as a value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in LIST_FLAGS and NEGATIVE_LIST.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_float_list(text, flag):

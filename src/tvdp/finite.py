@@ -13,14 +13,12 @@ both coincide for undiscounted models.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import waterfill as _waterfill
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, waterfill_maximize
+from .oracle import DEFAULT_TIE_TOL, _waterfill_core, waterfill_maximize
 
 log = logging.getLogger("tvdp.finite")
 
@@ -57,25 +55,7 @@ def stage_backup(model, next_values, stage_radius, *, stage=None, tie_tol=DEFAUL
     if not 0.0 <= r <= 2.0:
         raise ModelError(f"stage radius {r} outside [0, 2]")
 
-    base = model.discount * v
-    values = np.empty(n)
-    policy_idx = np.empty(n, dtype=np.intp)
-    worst = np.empty((n, n))
-    for i in range(n):
-        rows = model.kernels[i]
-        f = model.cost_scalar[i]
-        cv = model.cost_vector[i]
-        best = np.inf
-        for a in range(rows.shape[0]):
-            payoff = base if cv is None else cv[a] + base
-            nu, wf_value, _, _ = _waterfill(rows[a], payoff, r, tie_tol)
-            val = f[a] + wf_value
-            if val < best:
-                best = val
-                policy_idx[i] = a
-                worst[i, :] = nu
-        values[i] = best
-
+    values, policy_idx, worst = _backup(model, v, r, tie_tol)
     weight = 1.0 if stage is None else model.discount ** stage
     return StagePlan(
         stage=-1 if stage is None else stage,
@@ -130,46 +110,28 @@ def evaluate_policy_finite(model, policy_seq, tie_tol=DEFAULT_TIE_TOL):
     if len(policy_seq) != n_stage:
         raise ModelError(f"policy_seq needs {n_stage} stages, got {len(policy_seq)}")
     radii = model.stage_radii()
-    n = model.n_states
 
     values = [None] * (n_stage + 1)
     v = model.terminal_cost.astype(np.float64).copy()
     values[n_stage] = v
     for j in range(n_stage - 1, -1, -1):
-        idx = _as_policy_idx(model, policy_seq[j])
-        base = model.discount * v
-        new_v = np.empty(n)
-        for i in range(n):
-            a = idx[i]
-            cv = model.cost_vector[i]
-            payoff = base if cv is None else cv[a] + base
-            _, wf_value, _, _ = _waterfill(
-                model.kernels[i][a], payoff, radii[j + 1], tie_tol
-            )
-            new_v[i] = model.cost_scalar[i][a] + wf_value
-        v = new_v
+        idx = model.policy_indices(policy_seq[j])
+        v = _backup(model, v, radii[j + 1], tie_tol, policy_idx=idx)[0]
         values[j] = v
     return values
 
 
-def sweep_radius_finite(model, radii, jobs=1):
-    """Stage-0 values and policies across a grid of scalar radii.
-
-    Points are independent solves; ``jobs`` runs them on worker threads
-    with results kept in grid order.
-    """
+def sweep_radius_finite(model, radii):
+    """Stage-0 values and policies across a grid of scalar radii."""
     if not model.is_finite:
         raise ModelError("sweep_radius_finite needs a model with a horizon")
-
-    def solve_one(r):
+    points = []
+    for r in radii:
         plans = solve_finite(model.with_radius(float(r)))
-        return SweepPoint(radius=float(r), values=plans[0].values, policy=plans[0].policy)
-
-    rads = [float(r) for r in radii]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve_one, rads))
-    return [solve_one(r) for r in rads]
+        points.append(
+            SweepPoint(radius=float(r), values=plans[0].values, policy=plans[0].policy)
+        )
+    return points
 
 
 def initial_worst_value(model, plans, radius=None, tie_tol=DEFAULT_TIE_TOL):
@@ -202,16 +164,33 @@ def finite_solution_record(model, plans):
     )
 
 
-def _as_policy_idx(model, stage_policy):
-    entries = list(stage_policy)
-    if len(entries) != model.n_states:
-        raise ModelError(
-            f"stage policy has {len(entries)} entries for {model.n_states} states"
-        )
-    if all(isinstance(e, str) for e in entries):
-        return model.policy_indices(entries)
-    idx = np.asarray(entries, dtype=np.intp)
-    for i, a in enumerate(idx):
-        if not 0 <= a < len(model.actions[i]):
-            raise ModelError(f"action index {a} out of range for state {model.states[i]!r}")
-    return idx
+def _backup(model, v, radius, tie_tol, policy_idx=None):
+    """The robust backup at every state: values, argmin actions, worst rows.
+
+    Returns ``(values, idx, rows)``: ``values[i]`` is the minimum over actions
+    of ``f + max <c + discount * v, nu>`` over the ball of ``radius``, with
+    ties going to the lowest action index, and ``rows[i]`` the maximizing
+    kernel row under action ``idx[i]``. With ``policy_idx`` only that action
+    is considered at each state, which evaluates the fixed policy.
+    """
+    n = model.n_states
+    base = model.discount * v
+    values = np.empty(n)
+    idx = np.empty(n, dtype=np.intp)
+    rows_out = np.empty((n, n))
+    for i in range(n):
+        rows = model.kernels[i]
+        f = model.cost_scalar[i]
+        cv = model.cost_vector[i]
+        actions = range(rows.shape[0]) if policy_idx is None else (policy_idx[i],)
+        best = np.inf
+        for a in actions:
+            payoff = base if cv is None else cv[a] + base
+            nu, wf_value, _, _ = _waterfill_core(rows[a], payoff, radius, tie_tol)
+            val = f[a] + wf_value
+            if val < best:
+                best = val
+                idx[i] = a
+                rows_out[i, :] = nu
+        values[i] = best
+    return values, idx, rows_out

@@ -20,14 +20,13 @@ adversary's objective when costs do not depend on the next state).
 
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import waterfill as _waterfill
+from .finite import _backup
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, partition_levels
+from .oracle import DEFAULT_TIE_TOL, _waterfill_core, partition_levels
 
 log = logging.getLogger("tvdp.infinite")
 
@@ -84,7 +83,7 @@ def apply_bellman(model, values, radius=None, tie_tol=DEFAULT_TIE_TOL):
     if v.shape != (model.n_states,) or not np.all(np.isfinite(v)):
         raise ModelError("values must be a finite vector over the states")
     r = model.scalar_radius() if radius is None else _check_radius(radius)
-    new_v, idx, _ = _backup_all(model, v, r, tie_tol)
+    new_v, idx, _ = _backup(model, v, r, tie_tol)
     return new_v, model.policy_labels(idx)
 
 
@@ -105,7 +104,7 @@ def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=No
     converged = False
     iterations = 0
     while iterations < max_iter:
-        new_v, _, _ = _backup_all(model, v, r, tie_tol)
+        new_v, _, _ = _backup(model, v, r, tie_tol)
         iterations += 1
         delta = float(np.abs(new_v - v).max())
         v = new_v
@@ -113,7 +112,7 @@ def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=No
             converged = True
             break
 
-    check, idx, rows = _backup_all(model, v, r, tie_tol)
+    check, idx, rows = _backup(model, v, r, tie_tol)
     residual = float(np.abs(check - v).max())
     log.info(
         "value_iteration: %d iterations, residual %.3e, converged=%s",
@@ -138,7 +137,7 @@ def policy_evaluation_nominal(model, policy):
     Vector costs enter through their nominal expectation.
     """
     _require_stationary(model)
-    idx = _as_policy_idx(model, policy)
+    idx = model.policy_indices(policy)
     rows, costs = _policy_system(model, idx, [model.kernels[i][a] for i, a in enumerate(idx)])
     return _solve_linear(model.discount, rows, costs)
 
@@ -160,7 +159,7 @@ def build_worst_kernels(model, reference_values, radius=None, tie_tol=DEFAULT_TI
         rows = model.kernels[i]
         worst = np.empty_like(rows)
         for a in range(rows.shape[0]):
-            worst[a], _, _, _ = _waterfill(rows[a], ref, r, tie_tol)
+            worst[a], _, _, _ = _waterfill_core(rows[a], ref, r, tie_tol)
         out.append(worst)
     return tuple(out)
 
@@ -199,7 +198,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
     g = (
         np.zeros(model.n_states, dtype=np.intp)
         if initial_policy is None
-        else _as_policy_idx(model, initial_policy)
+        else model.policy_indices(initial_policy)
     )
 
     nominal, part, worst, robust = _pi_evaluate(model, g, mode, tie_tol)
@@ -237,7 +236,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         )
 
     rows = np.array([worst[i][a] for i, a in enumerate(g)])
-    check, _, _ = _backup_all(model, robust, model.scalar_radius(), tie_tol)
+    check, _, _ = _backup(model, robust, model.scalar_radius(), tie_tol)
     residual = float(np.abs(check - robust).max())
     scale = max(1.0, float(np.abs(robust).max()))
     if converged and residual > 1e-8 * scale:
@@ -267,25 +266,21 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
     return solution, trace
 
 
-def sweep_radius_infinite(model, radii, tie_tol=DEFAULT_TIE_TOL, jobs=1):
+def sweep_radius_infinite(model, radii, tie_tol=DEFAULT_TIE_TOL):
     """Stationary values and policies across a grid of radii.
 
     Each point is polished to an exact fixed point (linear solve on the
     frozen worst kernels) so sweep curves are accurate well past the value
-    iteration stopping tolerance. Points are independent; ``jobs`` runs
-    them on worker threads with results kept in grid order.
+    iteration stopping tolerance.
     """
     _require_stationary(model)
-
-    def solve_one(r):
+    points = []
+    for r in radii:
         values, idx, _ = _exact_stationary(model, _check_radius(r), tie_tol)
-        return SweepPoint(radius=float(r), values=values, policy=model.policy_labels(idx))
-
-    rads = [float(r) for r in radii]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve_one, rads))
-    return [solve_one(r) for r in rads]
+        points.append(
+            SweepPoint(radius=float(r), values=values, policy=model.policy_labels(idx))
+        )
+    return points
 
 
 def stationary_solution_record(model, sol):
@@ -321,47 +316,6 @@ def _check_radius(radius):
     if not 0.0 <= r <= 2.0:
         raise ModelError(f"radius {r} outside [0, 2]")
     return r
-
-
-def _as_policy_idx(model, policy):
-    entries = list(policy)
-    if all(isinstance(e, str) for e in entries):
-        return model.policy_indices(entries)
-    if len(entries) != model.n_states:
-        raise ModelError(
-            f"policy has {len(entries)} entries for {model.n_states} states"
-        )
-    idx = np.asarray(entries, dtype=np.intp)
-    for i, a in enumerate(idx):
-        if not 0 <= a < len(model.actions[i]):
-            raise ModelError(
-                f"action index {a} out of range for state {model.states[i]!r}"
-            )
-    return idx
-
-
-def _backup_all(model, v, radius, tie_tol):
-    """Robust backup at every state: values, greedy actions, worst rows."""
-    n = model.n_states
-    base = model.discount * v
-    values = np.empty(n)
-    idx = np.empty(n, dtype=np.intp)
-    rows_out = np.empty((n, n))
-    for i in range(n):
-        rows = model.kernels[i]
-        f = model.cost_scalar[i]
-        cv = model.cost_vector[i]
-        best = np.inf
-        for a in range(rows.shape[0]):
-            payoff = base if cv is None else cv[a] + base
-            nu, wf_value, _, _ = _waterfill(rows[a], payoff, radius, tie_tol)
-            val = f[a] + wf_value
-            if val < best:
-                best = val
-                idx[i] = a
-                rows_out[i, :] = nu
-        values[i] = best
-    return values, idx, rows_out
 
 
 def _policy_system(model, idx, kernel_rows):
@@ -433,19 +387,10 @@ def _stabilize_supports(model, idx, reference, tie_tol, max_rounds=64):
 
 def _contract_policy(model, idx, v, tie_tol, max_iter=100000):
     """Iterate the fixed-policy robust operator to machine accuracy."""
-    alpha = model.discount
-    n = model.n_states
+    radius = model.scalar_radius()
     while max_iter > 0:
         max_iter -= 1
-        base = alpha * v
-        new_v = np.empty(n)
-        for i, a in enumerate(idx):
-            cv = model.cost_vector[i]
-            payoff = base if cv is None else cv[a] + base
-            _, wf_value, _, _ = _waterfill(
-                model.kernels[i][a], payoff, model.scalar_radius(), tie_tol
-            )
-            new_v[i] = model.cost_scalar[i][a] + wf_value
+        new_v = _backup(model, v, radius, tie_tol, policy_idx=idx)[0]
         delta = float(np.abs(new_v - v).max())
         v = new_v
         if delta <= 1e-13 * max(1.0, float(np.abs(v).max())):
@@ -475,7 +420,7 @@ def _exact_stationary(model, radius, tie_tol):
         values = _solve_linear(
             model.discount, rows, _policy_system(model, idx, list(rows))[1]
         )
-        check, idx, rows = _backup_all(model, values, radius, tie_tol)
+        check, idx, rows = _backup(model, values, radius, tie_tol)
         residual = float(np.abs(check - values).max())
         if residual < best[0]:
             best = (residual, values, idx, rows)

@@ -113,15 +113,26 @@ class RobustMdpModel:
             state = self.states[state_idx]
             raise ModelError(f"unknown action {label!r} for state {state!r}") from None
 
-    def policy_indices(self, labels):
-        """Per-state action indices for a sequence of action labels."""
-        if len(labels) != self.n_states:
+    def policy_indices(self, policy):
+        """Per-state action indices for a policy of action labels or indices."""
+        entries = list(policy)
+        if len(entries) != self.n_states:
             raise ModelError(
-                f"policy has {len(labels)} entries for {self.n_states} states"
+                f"policy has {len(entries)} entries for {self.n_states} states"
             )
-        return np.array(
-            [self.action_index(i, a) for i, a in enumerate(labels)], dtype=np.intp
-        )
+        if all(isinstance(e, str) for e in entries):
+            return np.array(
+                [self.action_index(i, a) for i, a in enumerate(entries)], dtype=np.intp
+            )
+        if not all(isinstance(e, (int, np.integer)) for e in entries):
+            raise ModelError("policy must be all action labels or all integer indices")
+        idx = np.asarray(entries, dtype=np.intp)
+        for i, a in enumerate(idx):
+            if not 0 <= a < len(self.actions[i]):
+                raise ModelError(
+                    f"action index {a} out of range for state {self.states[i]!r}"
+                )
+        return idx
 
     def policy_labels(self, idx):
         return tuple(self.actions[i][a] for i, a in enumerate(idx))

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import backend_name, waterfill as _waterfill_core
+from ._kernels_py import sorted_groups
+
+# the compiled kernel when it is built, else its bitwise pure-Python twin
+try:
+    from ._kernels import BACKEND_NAME, waterfill as _waterfill_core
+except ImportError:
+    from ._kernels_py import BACKEND_NAME, waterfill as _waterfill_core
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -33,6 +39,11 @@ __all__ = [
     "unclamped_value",
     "waterfill_maximize",
 ]
+
+
+def backend_name():
+    """Name of the water-fill kernel in use: 'compiled' or 'python'."""
+    return BACKEND_NAME
 
 
 def as_distribution(vec, sum_tol=1e-12, entry_tol=1e-12):
@@ -122,7 +133,7 @@ def partition_levels(levels, tie_tol=DEFAULT_TIE_TOL):
     lv = _as_levels(levels)
     if tie_tol < 0.0:
         raise ValueError("tie_tol must be non-negative")
-    order, starts = _sorted_groups(lv, tie_tol)
+    order, starts = sorted_groups(lv, tie_tol)
     groups = []
     for g, a in enumerate(starts):
         b = starts[g + 1] if g + 1 < len(starts) else lv.size
@@ -203,16 +214,3 @@ def _as_radius(radius):
     if not np.isfinite(r) or r < -1e-12 or r > 2.0 + 1e-12:
         raise ValueError(f"radius {r!r} outside [0, 2]")
     return min(max(r, 0.0), 2.0)
-
-
-def _sorted_groups(lv, tie_tol):
-    """Stable ascending order of ``lv`` plus start offsets of its level sets."""
-    order = np.argsort(lv, kind="stable")
-    starts = [0]
-    anchor = lv[order[0]]
-    for k in range(1, lv.size):
-        val = lv[order[k]]
-        if val - anchor > tie_tol * max(1.0, abs(anchor)):
-            starts.append(k)
-            anchor = val
-    return order, starts

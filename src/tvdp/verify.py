@@ -311,8 +311,7 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
         raise ModelError("monte_carlo_rollout needs a stationary model")
     if config.episodes < 1:
         raise ModelError("need at least one episode per start state")
-    idx = model.policy_indices(policy) if all(isinstance(a, str) for a in policy) \
-        else np.asarray(policy, dtype=np.intp)
+    idx = model.policy_indices(policy)
     n = model.n_states
 
     if config.kernel_choice == "nominal":

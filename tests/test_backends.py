@@ -1,29 +1,15 @@
 """The compiled kernel and its pure-Python twin must agree bit for bit."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from conftest import random_oracle_instance
-from tvdp import _backend, _kernels_py
-
-
-def _run_with_backend(value):
-    env = dict(os.environ, TVDP_BACKEND=value)
-    return subprocess.run(
-        [sys.executable, "-c", "import tvdp; print(tvdp.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+from tvdp import _kernels_py, oracle
 
 
 def test_backend_name_is_consistent():
-    assert _backend.BACKEND_NAME in ("compiled", "python")
-    assert _backend.backend_name() == _backend.BACKEND_NAME
+    assert oracle.BACKEND_NAME in ("compiled", "python")
+    assert oracle.backend_name() == oracle.BACKEND_NAME
 
 
 def test_backends_agree_bitwise():
@@ -37,22 +23,3 @@ def test_backends_agree_bitwise():
         assert val_c == val_p
         assert eff_c == eff_p
         assert rmax_c == rmax_p
-
-
-def test_env_selects_python_backend():
-    out = _run_with_backend("python")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "python"
-
-
-def test_env_selects_compiled_backend():
-    pytest.importorskip("tvdp._kernels", reason="compiled backend not built")
-    out = _run_with_backend("compiled")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "compiled"
-
-
-def test_env_rejects_unknown_backend():
-    out = _run_with_backend("bogus")
-    assert out.returncode != 0
-    assert "TVDP_BACKEND" in out.stderr

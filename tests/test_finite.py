@@ -199,16 +199,6 @@ def test_sweep_radius_finite_curve(machine):
     assert np.all(np.diff(stacked, axis=0) >= -1e-12)
 
 
-def test_sweep_jobs_do_not_change_results(machine):
-    grid = np.linspace(0.0, 2.0, 11)
-    seq = sweep_radius_finite(machine, grid, jobs=1)
-    par = sweep_radius_finite(machine, grid, jobs=4)
-    for a, b in zip(seq, par):
-        assert a.radius == b.radius
-        assert np.array_equal(a.values, b.values)
-        assert a.policy == b.policy
-
-
 def test_initial_worst_value(machine):
     import json
 

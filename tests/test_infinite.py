@@ -305,10 +305,6 @@ def test_sweep_radius_infinite_curve(threestate):
     assert np.all(np.diff(stacked, axis=0) >= -1e-12)
     assert np.all(np.diff(stacked, axis=0, n=2) <= 1e-9)
 
-    par = sweep_radius_infinite(threestate, grid, jobs=4)
-    for a, b in zip(points, par):
-        assert np.array_equal(a.values, b.values)
-
 
 def test_stationary_record_metadata(threestate):
     sol = value_iteration(threestate)

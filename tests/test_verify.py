@@ -189,6 +189,13 @@ def test_rollout_seed_and_jobs_determinism(threestate):
     assert not np.array_equal(a.means, d.means)
 
 
+def test_rollout_rejects_bad_action_indices(threestate):
+    cfg = RolloutConfig(episodes=10)
+    for policy in ([1, -1, 1], [1, 5, 1], [1.7, 0, 0], ["u1", 0, 0]):
+        with pytest.raises(ModelError):
+            monte_carlo_rollout(threestate, policy, cfg)
+
+
 def test_rollout_nominal_matches_linear_solve(threestate):
     pol = ("u2", "u1", "u2")
     exact = policy_evaluation_nominal(threestate, pol)
