@@ -52,7 +52,6 @@ from .oracle import (
     SupportPartition,
     WaterfillResult,
     as_distribution,
-    backend_name,
     oscillation,
     partition_levels,
     tv_distance,
@@ -91,7 +90,6 @@ __all__ = [
     "__version__",
     "apply_bellman",
     "as_distribution",
-    "backend_name",
     "brute_force_finite",
     "build_worst_kernels",
     "certify_waterfill",

@@ -193,9 +193,9 @@ def _cmd_simulate(args):
             raise ModelError("simulate needs a model without a horizon")
         # the adversary's rows against this policy's own robust values
         idx = model.policy_indices(policy)
-        v = _contract_policy(model, idx, np.zeros(model.n_states), DEFAULT_TIE_TOL)
+        v = _contract_policy(model, idx, np.zeros(model.n_states))
         r = model.scalar_radius()
-        kernels = _backup(model, v, r, DEFAULT_TIE_TOL, policy_idx=idx)[2]
+        kernels = _backup(model, v, r, policy_idx=idx)[2]
     cfg = RolloutConfig(
         episodes=args.episodes,
         horizon_cap=args.horizon_cap,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, _waterfill_core, waterfill_maximize
+from .oracle import DEFAULT_TIE_TOL, _waterfill, waterfill_maximize
 
 log = logging.getLogger("tvdp.finite")
 
@@ -40,7 +40,7 @@ class StagePlan:
     worst_kernels: object
 
 
-def stage_backup(model, next_values, stage_radius, *, stage=None, tie_tol=DEFAULT_TIE_TOL):
+def stage_backup(model, next_values, stage_radius, *, stage=None):
     """One robust backup of ``next_values`` with the given kernel radius.
 
     Returns a StagePlan holding the backed-up values, the per-state argmin
@@ -55,7 +55,7 @@ def stage_backup(model, next_values, stage_radius, *, stage=None, tie_tol=DEFAUL
     if not 0.0 <= r <= 2.0:
         raise ModelError(f"stage radius {r} outside [0, 2]")
 
-    values, policy_idx, worst = _backup(model, v, r, tie_tol)
+    values, policy_idx, worst = _backup(model, v, r)
     weight = 1.0 if stage is None else model.discount ** stage
     return StagePlan(
         stage=-1 if stage is None else stage,
@@ -67,7 +67,7 @@ def stage_backup(model, next_values, stage_radius, *, stage=None, tie_tol=DEFAUL
     )
 
 
-def solve_finite(model, tie_tol=DEFAULT_TIE_TOL):
+def solve_finite(model):
     """Backward induction over the full horizon.
 
     Returns plans for stages 0..n in ascending order; ``plans[n]`` carries
@@ -90,14 +90,14 @@ def solve_finite(model, tie_tol=DEFAULT_TIE_TOL):
         worst_kernels=None,
     )
     for j in range(n_stage - 1, -1, -1):
-        plan = stage_backup(model, v, radii[j + 1], stage=j, tie_tol=tie_tol)
+        plan = stage_backup(model, v, radii[j + 1], stage=j)
         v = plan.values
         plans[j] = plan
     log.debug("solve_finite: horizon %d, stage-0 values %s", n_stage, plans[0].values)
     return plans
 
 
-def evaluate_policy_finite(model, policy_seq, tie_tol=DEFAULT_TIE_TOL):
+def evaluate_policy_finite(model, policy_seq):
     """Worst-case values of a fixed per-stage Markov policy.
 
     ``policy_seq[j]`` gives the stage-j action per state (labels or indices).
@@ -116,7 +116,7 @@ def evaluate_policy_finite(model, policy_seq, tie_tol=DEFAULT_TIE_TOL):
     values[n_stage] = v
     for j in range(n_stage - 1, -1, -1):
         idx = model.policy_indices(policy_seq[j])
-        v = _backup(model, v, radii[j + 1], tie_tol, policy_idx=idx)[0]
+        v = _backup(model, v, radii[j + 1], policy_idx=idx)[0]
         values[j] = v
     return values
 
@@ -134,7 +134,7 @@ def sweep_radius_finite(model, radii):
     return points
 
 
-def initial_worst_value(model, plans, radius=None, tie_tol=DEFAULT_TIE_TOL):
+def initial_worst_value(model, plans, radius=None):
     """Worst-case total cost when the initial distribution is ambiguous too.
 
     Optional post-processing: maximizes ``<plans[0].values, nu>`` over the TV
@@ -144,7 +144,7 @@ def initial_worst_value(model, plans, radius=None, tie_tol=DEFAULT_TIE_TOL):
     if model.initial is None:
         raise ModelError("model declares no initial distribution")
     r0 = model.stage_radii()[0] if radius is None else float(radius)
-    res = waterfill_maximize(model.initial, plans[0].values, r0, tie_tol)
+    res = waterfill_maximize(model.initial, plans[0].values, r0)
     return res.value
 
 
@@ -164,7 +164,7 @@ def finite_solution_record(model, plans):
     )
 
 
-def _backup(model, v, radius, tie_tol, policy_idx=None):
+def _backup(model, v, radius, policy_idx=None):
     """The robust backup at every state: values, argmin actions, worst rows.
 
     Returns ``(values, idx, rows)``: ``values[i]`` is the minimum over actions
@@ -186,7 +186,7 @@ def _backup(model, v, radius, tie_tol, policy_idx=None):
         best = np.inf
         for a in actions:
             payoff = base if cv is None else cv[a] + base
-            nu, wf_value, _, _ = _waterfill_core(rows[a], payoff, radius, tie_tol)
+            nu, wf_value, _, _ = _waterfill(rows[a], payoff, radius, DEFAULT_TIE_TOL)
             val = f[a] + wf_value
             if val < best:
                 best = val

@@ -26,7 +26,7 @@ import numpy as np
 
 from .finite import _backup
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, _waterfill_core, partition_levels
+from .oracle import DEFAULT_TIE_TOL, _waterfill, partition_levels
 
 log = logging.getLogger("tvdp.infinite")
 
@@ -72,7 +72,7 @@ class PolicyIterationTrace:
     improvement_iterations: int
 
 
-def apply_bellman(model, values, radius=None, tie_tol=DEFAULT_TIE_TOL):
+def apply_bellman(model, values, radius=None):
     """One application of the robust Bellman operator.
 
     Returns ``(new_values, policy)`` where policy holds the greedy action
@@ -83,12 +83,11 @@ def apply_bellman(model, values, radius=None, tie_tol=DEFAULT_TIE_TOL):
     if v.shape != (model.n_states,) or not np.all(np.isfinite(v)):
         raise ModelError("values must be a finite vector over the states")
     r = model.scalar_radius() if radius is None else _check_radius(radius)
-    new_v, idx, _ = _backup(model, v, r, tie_tol)
+    new_v, idx, _ = _backup(model, v, r)
     return new_v, model.policy_labels(idx)
 
 
-def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=None,
-                    tie_tol=DEFAULT_TIE_TOL):
+def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=None):
     """Iterate the robust Bellman operator from zero until the update is small.
 
     Stops once the sup-norm step falls below ``tol * (1 - a) / (2 a)``, which
@@ -104,7 +103,7 @@ def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=No
     converged = False
     iterations = 0
     while iterations < max_iter:
-        new_v, _, _ = _backup(model, v, r, tie_tol)
+        new_v, _, _ = _backup(model, v, r)
         iterations += 1
         delta = float(np.abs(new_v - v).max())
         v = new_v
@@ -112,7 +111,7 @@ def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=No
             converged = True
             break
 
-    check, idx, rows = _backup(model, v, r, tie_tol)
+    check, idx, rows = _backup(model, v, r)
     residual = float(np.abs(check - v).max())
     log.info(
         "value_iteration: %d iterations, residual %.3e, converged=%s",
@@ -142,7 +141,7 @@ def policy_evaluation_nominal(model, policy):
     return _solve_linear(model.discount, rows, costs)
 
 
-def build_worst_kernels(model, reference_values, radius=None, tie_tol=DEFAULT_TIE_TOL):
+def build_worst_kernels(model, reference_values, radius=None):
     """Maximizing kernel row per (state, action) against a state ordering.
 
     Only the ordering (level partition) of ``reference_values`` matters: each
@@ -159,13 +158,12 @@ def build_worst_kernels(model, reference_values, radius=None, tie_tol=DEFAULT_TI
         rows = model.kernels[i]
         worst = np.empty_like(rows)
         for a in range(rows.shape[0]):
-            worst[a], _, _, _ = _waterfill_core(rows[a], ref, r, tie_tol)
+            worst[a], _, _, _ = _waterfill(rows[a], ref, r, DEFAULT_TIE_TOL)
         out.append(worst)
     return tuple(out)
 
 
-def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=1000,
-                     tie_tol=DEFAULT_TIE_TOL):
+def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=1000):
     """Frozen-kernel policy iteration.
 
     Parameters
@@ -201,7 +199,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         else model.policy_indices(initial_policy)
     )
 
-    nominal, part, worst, robust = _pi_evaluate(model, g, mode, tie_tol)
+    nominal, part, worst, robust = _pi_evaluate(model, g, mode)
     steps = [
         PolicyIterationStep(0, model.policy_labels(g), nominal, part, worst, robust)
     ]
@@ -228,7 +226,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
                 f"{iterations} (mode={mode}); the frozen-kernel evaluation is cycling"
             )
         seen.add(key)
-        nominal, part, worst, robust = _pi_evaluate(model, g, mode, tie_tol)
+        nominal, part, worst, robust = _pi_evaluate(model, g, mode)
         steps.append(
             PolicyIterationStep(
                 iterations, model.policy_labels(g), nominal, part, worst, robust
@@ -236,7 +234,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         )
 
     rows = np.array([worst[i][a] for i, a in enumerate(g)])
-    check, _, _ = _backup(model, robust, model.scalar_radius(), tie_tol)
+    check, _, _ = _backup(model, robust, model.scalar_radius())
     residual = float(np.abs(check - robust).max())
     scale = max(1.0, float(np.abs(robust).max()))
     if converged and residual > 1e-8 * scale:
@@ -266,7 +264,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
     return solution, trace
 
 
-def sweep_radius_infinite(model, radii, tie_tol=DEFAULT_TIE_TOL):
+def sweep_radius_infinite(model, radii):
     """Stationary values and policies across a grid of radii.
 
     Each point is polished to an exact fixed point (linear solve on the
@@ -276,7 +274,7 @@ def sweep_radius_infinite(model, radii, tie_tol=DEFAULT_TIE_TOL):
     _require_stationary(model)
     points = []
     for r in radii:
-        values, idx, _ = _exact_stationary(model, _check_radius(r), tie_tol)
+        values, idx, _ = _exact_stationary(model, _check_radius(r))
         points.append(
             SweepPoint(radius=float(r), values=values, policy=model.policy_labels(idx))
         )
@@ -346,31 +344,31 @@ def _partition_key(part):
     return (part.sigma_max, part.sigma_levels)
 
 
-def _pi_evaluate(model, idx, mode, tie_tol):
+def _pi_evaluate(model, idx, mode):
     """Evaluate a policy: nominal values, state ordering, frozen worst kernels,
     and the robust values under those kernels."""
     nominal = policy_evaluation_nominal(model, idx)
     if mode == "paper":
-        part = partition_levels(nominal, tie_tol)
-        worst = build_worst_kernels(model, nominal, tie_tol=tie_tol)
+        part = partition_levels(nominal)
+        worst = build_worst_kernels(model, nominal)
         robust = _solve_frozen(model, idx, worst)
         return nominal, part, worst, robust
-    robust, part, worst = _stabilize_supports(model, idx, nominal, tie_tol)
+    robust, part, worst = _stabilize_supports(model, idx, nominal)
     return nominal, part, worst, robust
 
 
-def _stabilize_supports(model, idx, reference, tie_tol, max_rounds=64):
+def _stabilize_supports(model, idx, reference, max_rounds=64):
     """Re-identify the level partition from the robust values until stable."""
     ref = reference
     seen = set()
     worst = None
     values = None
     for _ in range(max_rounds):
-        part = partition_levels(ref, tie_tol)
+        part = partition_levels(ref)
         key = _partition_key(part)
-        worst = build_worst_kernels(model, ref, tie_tol=tie_tol)
+        worst = build_worst_kernels(model, ref)
         values = _solve_frozen(model, idx, worst)
-        new_part = partition_levels(values, tie_tol)
+        new_part = partition_levels(values)
         if _partition_key(new_part) == key:
             return values, new_part, worst
         if key in seen:
@@ -379,18 +377,18 @@ def _stabilize_supports(model, idx, reference, tie_tol, max_rounds=64):
         ref = values
     # partition cycling: fall back to contraction on the frozen-policy operator
     log.debug("support partition cycling; falling back to contraction iteration")
-    values = _contract_policy(model, idx, values, tie_tol)
-    worst = build_worst_kernels(model, values, tie_tol=tie_tol)
+    values = _contract_policy(model, idx, values)
+    worst = build_worst_kernels(model, values)
     values = _solve_frozen(model, idx, worst)
-    return values, partition_levels(values, tie_tol), worst
+    return values, partition_levels(values), worst
 
 
-def _contract_policy(model, idx, v, tie_tol, max_iter=100000):
+def _contract_policy(model, idx, v, max_iter=100000):
     """Iterate the fixed-policy robust operator to machine accuracy."""
     radius = model.scalar_radius()
     while max_iter > 0:
         max_iter -= 1
-        new_v = _backup(model, v, radius, tie_tol, policy_idx=idx)[0]
+        new_v = _backup(model, v, radius, policy_idx=idx)[0]
         delta = float(np.abs(new_v - v).max())
         v = new_v
         if delta <= 1e-13 * max(1.0, float(np.abs(v).max())):
@@ -411,16 +409,16 @@ def _improve(model, g, worst, robust):
     return g_new
 
 
-def _exact_stationary(model, radius, tie_tol):
+def _exact_stationary(model, radius):
     """VI to tolerance, then Newton-style polish to an exact fixed point."""
-    sol = value_iteration(model, tol=1e-9, radius=radius, tie_tol=tie_tol)
+    sol = value_iteration(model, tol=1e-9, radius=radius)
     v, idx, rows = sol.values, sol.policy_idx, sol.worst_kernel_matrix
     best = (sol.residual, v, idx, rows)
     for _ in range(32):
         values = _solve_linear(
             model.discount, rows, _policy_system(model, idx, list(rows))[1]
         )
-        check, idx, rows = _backup(model, values, radius, tie_tol)
+        check, idx, rows = _backup(model, values, radius)
         residual = float(np.abs(check - values).max())
         if residual < best[0]:
             best = (residual, values, idx, rows)

@@ -13,17 +13,10 @@ Conventions used across the package:
   whenever a clamp binds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._kernels_py import sorted_groups
-
-# the compiled kernel when it is built, else its bitwise pure-Python twin
-try:
-    from ._kernels import BACKEND_NAME, waterfill as _waterfill_core
-except ImportError:
-    from ._kernels_py import BACKEND_NAME, waterfill as _waterfill_core
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -32,18 +25,12 @@ __all__ = [
     "SupportPartition",
     "WaterfillResult",
     "as_distribution",
-    "backend_name",
     "oscillation",
     "partition_levels",
     "tv_distance",
     "unclamped_value",
     "waterfill_maximize",
 ]
-
-
-def backend_name():
-    """Name of the water-fill kernel in use: 'compiled' or 'python'."""
-    return BACKEND_NAME
 
 
 def as_distribution(vec, sum_tol=1e-12, entry_tol=1e-12):
@@ -124,16 +111,15 @@ def partition_levels(levels, tie_tol=DEFAULT_TIE_TOL):
     levels : array-like
         Finite payoff per outcome.
     tie_tol : float
-        Relative grouping tolerance; 0 groups exact ties only.
+        Relative grouping tolerance, finite and non-negative; 0 groups exact
+        ties only.
 
     Returns
     -------
     SupportPartition
     """
     lv = _as_levels(levels)
-    if tie_tol < 0.0:
-        raise ValueError("tie_tol must be non-negative")
-    order, starts = sorted_groups(lv, tie_tol)
+    order, starts = _sorted_groups(lv, _as_tie_tol(tie_tol))
     groups = []
     for g, a in enumerate(starts):
         b = starts[g + 1] if g + 1 < len(starts) else lv.size
@@ -166,7 +152,8 @@ def waterfill_maximize(mu, levels, radius, tie_tol=DEFAULT_TIE_TOL):
     radius : float
         TV budget in ``[0, 2]``.
     tie_tol : float
-        Relative tolerance for grouping equal levels.
+        Relative tolerance for grouping equal levels; finite and
+        non-negative.
 
     Returns
     -------
@@ -177,9 +164,7 @@ def waterfill_maximize(mu, levels, radius, tie_tol=DEFAULT_TIE_TOL):
     if lv.shape != p.shape:
         raise ValueError(f"levels shape {lv.shape} does not match mu shape {p.shape}")
     r = _as_radius(radius)
-    if tie_tol < 0.0:
-        raise ValueError("tie_tol must be non-negative")
-    nu, value, eff, r_max = _waterfill_core(p, lv, r, tie_tol)
+    nu, value, eff, r_max = _waterfill(p, lv, r, _as_tie_tol(tie_tol))
     return WaterfillResult(
         maximizer=nu, value=float(value), effective_radius=float(eff), r_max=float(r_max)
     )
@@ -209,8 +194,99 @@ def _as_levels(levels):
     return lv
 
 
+def _as_tie_tol(tie_tol):
+    t = float(tie_tol)
+    if not math.isfinite(t) or t < 0.0:
+        raise ValueError(f"tie_tol {t!r} must be finite and non-negative")
+    return t
+
+
 def _as_radius(radius):
     r = float(radius)
     if not np.isfinite(r) or r < -1e-12 or r > 2.0 + 1e-12:
         raise ValueError(f"radius {r!r} outside [0, 2]")
     return min(max(r, 0.0), 2.0)
+
+
+def _sorted_groups(levels, tie_tol):
+    """Stable ascending order of ``levels`` plus start offsets of its level sets.
+
+    This is the package's one tie rule: an entry joins the current set when it
+    exceeds the set's anchor (its smallest member) by at most
+    ``tie_tol * max(1, |anchor|)``.
+    """
+    order = np.argsort(levels, kind="stable")
+    starts = [0]
+    anchor = levels[order[0]]
+    for k in range(1, levels.shape[0]):
+        lv = levels[order[k]]
+        if lv - anchor > tie_tol * max(1.0, abs(anchor)):
+            starts.append(k)
+            anchor = lv
+    return order, starts
+
+
+def _waterfill(mu, levels, radius, tie_tol):
+    """Water-fill kernel behind :func:`waterfill_maximize` and every backup.
+
+    Takes a validated, normalized ``mu``, finite ``levels`` of the same
+    length, a radius in ``[0, 2]`` and a valid ``tie_tol``; the solvers call
+    it directly to skip that validation per kernel row. Returns
+    ``(nu, value, effective_radius, r_max)``.
+    """
+    n = mu.shape[0]
+    order, starts = _sorted_groups(levels, tie_tol)
+
+    nu = mu.copy()
+    if len(starts) == 1:
+        # constant payoff: the ball cannot change the value
+        value = 0.0
+        for i in range(n):
+            value += levels[i] * nu[i]
+        return nu, value, 0.0, 0.0
+
+    top = starts[-1]
+    mass_top = 0.0
+    for k in range(top, n):
+        mass_top += mu[order[k]]
+    r_max = 2.0 * (1.0 - mass_top)
+    if r_max < 0.0:
+        r_max = 0.0
+    alpha = radius if radius < r_max else r_max
+    half = 0.5 * alpha
+
+    if mass_top > 0.0:
+        scale = half / mass_top
+        for k in range(top, n):
+            i = order[k]
+            nu[i] = mu[i] + mu[i] * scale
+    else:
+        add = half / (n - top)
+        for k in range(top, n):
+            nu[order[k]] = mu[order[k]] + add
+
+    budget = half
+    for g in range(len(starts) - 1):
+        if budget <= 0.0:
+            break
+        a = starts[g]
+        b = starts[g + 1]
+        mass = 0.0
+        for k in range(a, b):
+            mass += mu[order[k]]
+        take = budget if budget < mass else mass
+        if take > 0.0:
+            if take == mass:
+                for k in range(a, b):
+                    nu[order[k]] = 0.0
+            else:
+                scale = take / mass
+                for k in range(a, b):
+                    i = order[k]
+                    nu[i] = mu[i] - mu[i] * scale
+        budget -= take
+
+    value = 0.0
+    for i in range(n):
+        value += levels[i] * nu[i]
+    return nu, value, alpha, r_max

@@ -22,6 +22,8 @@ from .oracle import as_distribution, waterfill_maximize
 log = logging.getLogger("tvdp.verify")
 
 OPTIMALITY_TOL = 1e-9
+# target for the truncation bias of an automatically capped rollout
+STAT_TOL = 1e-5
 FEASIBILITY_TOL = 1e-12
 GRID_STEPS = 200
 
@@ -103,6 +105,12 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
 
 def fuzz_waterfill(instances=10000, trials=1000, seed=0, max_size=8):
     """Fuzz the water-fill oracle: random instances, certify each maximizer."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if max_size < 2:
+        raise ValueError(f"max_size must be at least 2, got {max_size}")
     rng = np.random.default_rng(seed)
     failures = 0
     max_violation = 0.0
@@ -274,17 +282,17 @@ class RolloutConfig:
     """Simulation settings.
 
     ``horizon_cap=None`` derives the smallest cap with truncation bias
-    ``discount**cap * f_max / (1 - discount) <= stat_tol / 10``. Episodes are
-    simulated in fixed-size chunks whose generators spawn deterministically
-    from the seed, so results are bit-identical for a given config no matter
-    how many worker threads run the chunks.
+    ``discount**cap * f_max / (1 - discount) <= STAT_TOL / 10``; an explicit
+    cap must be at least 1. Episodes are simulated in fixed-size chunks whose
+    generators spawn deterministically from the seed, so results are
+    bit-identical for a given config no matter how many worker threads run
+    the chunks.
     """
 
     episodes: int
     horizon_cap: object = None
     seed: int = 0
     kernel_choice: str = "nominal"
-    stat_tol: float = 1e-5
     chunk_size: int = 16384
     jobs: int = 1
 
@@ -311,6 +319,8 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
         raise ModelError("monte_carlo_rollout needs a stationary model")
     if config.episodes < 1:
         raise ModelError("need at least one episode per start state")
+    if config.horizon_cap is not None and config.horizon_cap < 1:
+        raise ModelError(f"horizon cap must be at least 1, got {config.horizon_cap}")
     idx = model.policy_indices(policy)
     n = model.n_states
 
@@ -331,7 +341,7 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
 
     cap = config.horizon_cap
     if cap is None:
-        cap = _auto_cap(model.discount, model.max_stage_cost(), config.stat_tol)
+        cap = _auto_cap(model.discount, model.max_stage_cost())
     cost = model.transition_cost_matrix(idx)
     cum = mat.cumsum(axis=1)
     cum[:, -1] = 1.0
@@ -388,10 +398,10 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
 # helpers
 
 
-def _auto_cap(alpha, f_max, stat_tol):
+def _auto_cap(alpha, f_max):
     if f_max <= 0.0:
         return 1
-    target = (stat_tol / 10.0) * (1.0 - alpha) / f_max
+    target = (STAT_TOL / 10.0) * (1.0 - alpha) / f_max
     if target >= 1.0:
         return 1
     return max(1, math.ceil(math.log(target) / math.log(alpha)))

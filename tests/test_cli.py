@@ -253,8 +253,14 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
         ("sweep", "--model", "machine", "--radius-grid", "0:2:-0.5"),
         ("sweep", "--model", "machine", "--radius-grid", "2:0:0.5"),
         ("oracle", "--mu", "a,b", "--levels", "0,1", "--radius", "0.5"),
+        ("oracle", "--mu", "0.5,0.5", "--levels", "1,2", "--radius", "0.5",
+         "--tie-tol", "nan"),
         ("simulate", "--model", "threestate", "--policy", "u1,u9,u1",
          "--episodes", "10"),
+        ("simulate", "--model", "threestate", "--policy", "u2,u1,u2",
+         "--episodes", "100", "--horizon-cap", "0"),
+        ("certify", "--instances", "-5"),
+        ("certify", "--max-size", "1"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

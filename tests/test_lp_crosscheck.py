@@ -7,7 +7,10 @@ An oracle that shares no code with the solver: each worst-case expectation
 is handed to HiGHS through ``scipy.optimize.linprog`` instead of the
 water-fill. It checks ``solve_finite`` on the machine model at every stage
 and radius of the ``0:2:0.05`` grid, and it reproduces the convex stretch of
-the stage-0 curve that acceptance criterion 5 pins.
+the stage-0 curve that acceptance criterion 5 pins. The same LP Bellman
+operator checks that value iteration and policy iteration return its fixed
+points, including on a model whose rows put no nominal mass on the argmax
+set and whose values tie exactly.
 """
 
 import numpy as np
@@ -15,8 +18,9 @@ import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from tvdp import load_example  # noqa: E402
+from tvdp import load_example, parse_model  # noqa: E402
 from tvdp.finite import solve_finite  # noqa: E402
+from tvdp.infinite import policy_iteration, value_iteration  # noqa: E402
 
 GRID = [round(0.05 * k, 10) for k in range(41)]
 
@@ -41,26 +45,64 @@ def _lp_ball_max(mu, payoff, radius):
     return float(payoff @ res.x[:n])
 
 
+def _lp_bellman(model, v, radius):
+    """One robust Bellman backup of ``v`` with every ball maximum an LP."""
+    new = np.empty(model.n_states)
+    for i in range(model.n_states):
+        best = np.inf
+        for a in range(len(model.actions[i])):
+            payoff = model.discount * v
+            if model.cost_vector[i] is not None:
+                payoff = model.cost_vector[i][a] + payoff
+            worst = _lp_ball_max(model.kernels[i][a], payoff, radius)
+            best = min(best, model.cost_scalar[i][a] + worst)
+        new[i] = best
+    return new
+
+
 def _lp_backward_induction(model):
     """Normalized time-to-go values for stages 0..horizon, ascending."""
     radii = model.stage_radii()
     v = model.terminal_cost.astype(float).copy()
     per_stage = [v]
     for j in range(model.horizon - 1, -1, -1):
-        new = np.empty(model.n_states)
-        for i in range(model.n_states):
-            best = np.inf
-            for a in range(len(model.actions[i])):
-                payoff = model.discount * v
-                if model.cost_vector[i] is not None:
-                    payoff = model.cost_vector[i][a] + payoff
-                worst = _lp_ball_max(model.kernels[i][a], payoff, radii[j + 1])
-                best = min(best, model.cost_scalar[i][a] + worst)
-            new[i] = best
-        v = new
+        v = _lp_bellman(model, v, radii[j + 1])
         per_stage.append(v)
     per_stage.reverse()
     return np.array(per_stage)
+
+
+def _sparse_tied_model(seed=28, n=6):
+    """Three nonzeros per kernel row, integer costs, and a copied last state.
+
+    Most rows miss the highest-value states, so the adversary lifts a set that
+    carries no nominal mass; the copy makes the two highest values tie exactly
+    at most radii of the test grid.
+    """
+    rng = np.random.default_rng(seed)
+    states = [f"s{i}" for i in range(n)]
+    kernel, cost = {}, {}
+    for s in states[:-1]:
+        kernel[s], cost[s] = {}, {}
+        for a in ("a0", "a1"):
+            row = np.zeros(n)
+            row[rng.choice(n, size=3, replace=False)] = rng.dirichlet(np.ones(3))
+            kernel[s][a] = [float(x) for x in row]
+            cost[s][a] = float(rng.integers(0, 6))
+    kernel[states[-1]], cost[states[-1]] = kernel[states[-2]], cost[states[-2]]
+    return parse_model({
+        "states": states,
+        "actions": {s: ["a0", "a1"] for s in states},
+        "kernel": kernel,
+        "cost": cost,
+        "discount": 0.9,
+        "radius": 0.5,
+    })
+
+
+def _assert_lp_fixed_point(model, values, radius):
+    residual = np.abs(_lp_bellman(model, values, radius) - values)
+    assert np.all(residual <= 1e-7 * np.maximum(1.0, np.abs(values))), (radius, residual)
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +137,25 @@ def test_lp_reproduces_stage0_convex_stretch(lp_machine_curves):
     running = machine.states.index("running")
     stretch = np.diff(lp_curves[lo:hi + 1, 0, running])
     assert np.abs(stretch - (5.3125 + 0.125 * np.arange(6))).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["threestate", "sparse_tied"])
+def test_stationary_solvers_are_lp_fixed_points(name):
+    if name == "threestate":
+        model, grid = load_example("threestate"), [round(0.1 * k, 10) for k in range(21)]
+    else:
+        model, grid = _sparse_tied_model(), [0.0, 0.3, 0.8, 1.4, 2.0]
+    massless_top = tied_top = False
+    for r in grid:
+        m = model.with_radius(r)
+        vi = value_iteration(m)
+        pi, _ = policy_iteration(m, mode="fixed_point")
+        _assert_lp_fixed_point(m, vi.values, r)
+        _assert_lp_fixed_point(m, pi.values, r)
+        top = pi.values >= pi.values.max()
+        massless_top |= any(
+            rows[a][top].sum() == 0.0 for rows in m.kernels for a in range(len(rows))
+        )
+        tied_top |= top.sum() >= 2
+    if name == "sparse_tied":
+        assert massless_top and tied_top

@@ -143,6 +143,13 @@ def test_waterfill_rejects_bad_inputs():
         waterfill_maximize((0.9, 0.3), (1, 2), 0.5)
     with pytest.raises(ValueError):
         waterfill_maximize((0.5, -0.5), (1, 2), 0.5)
+    # NaN fails every comparison and would merge all levels into one tie group
+    with pytest.raises(ValueError):
+        waterfill_maximize((0.5, 0.5), (1, 2), 0.5, tie_tol=np.nan)
+    with pytest.raises(ValueError):
+        waterfill_maximize((0.5, 0.5), (1, 2), 0.5, tie_tol=np.inf)
+    with pytest.raises(ValueError):
+        partition_levels((1, 2), tie_tol=np.nan)
 
 
 def test_waterfill_accepts_boundary_grace():

@@ -248,6 +248,9 @@ def test_rollout_error_paths(threestate, machine):
             RolloutConfig(episodes=10, kernel_choice="custom"),
             kernels=np.ones((2, 2)) / 2.0,
         )
+    for cap in (0, -3):
+        with pytest.raises(ModelError):
+            monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=10, horizon_cap=cap))
 
 
 def test_fuzz_report_shape_and_pass():
@@ -259,3 +262,12 @@ def test_fuzz_report_shape_and_pass():
     payload = json.loads(report.to_json())
     assert set(payload) == {"check", "instances", "failures", "max_violation", "seed"}
     assert payload["seed"] == 3
+
+
+def test_fuzz_rejects_bad_counts():
+    with pytest.raises(ValueError, match="instances"):
+        fuzz_waterfill(instances=-5)
+    with pytest.raises(ValueError, match="trials"):
+        fuzz_waterfill(instances=1, trials=-1)
+    with pytest.raises(ValueError, match="max_size"):
+        fuzz_waterfill(instances=1, max_size=1)
