@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .finite import (
-    _backup,
     finite_solution_record,
     initial_worst_value,
     solve_finite,
@@ -32,7 +31,7 @@ from .infinite import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PolicyIterationError,
-    _contract_policy,
+    _evaluate_adversary,
     policy_iteration,
     stationary_solution_record,
     sweep_radius_infinite,
@@ -132,6 +131,10 @@ def _cmd_solve_infinite(args):
         model = model.with_radius(args.radius)
     if model.is_finite:
         raise ModelError("model has a horizon; use solve-finite")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ModelError(f"--tol must be a positive finite number, got {args.tol}")
+    if args.max_iter is not None and args.max_iter < 1:
+        raise ModelError(f"--max-iter must be at least 1, got {args.max_iter}")
     if args.method == "vi":
         max_iter = args.max_iter if args.max_iter is not None else DEFAULT_MAX_ITER
         sol = value_iteration(model, tol=args.tol, max_iter=max_iter)
@@ -171,6 +174,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_certify(args):
+    _check_seed(args.seed)
     report = fuzz_waterfill(
         instances=args.instances,
         trials=args.trials,
@@ -185,6 +189,7 @@ def _cmd_certify(args):
 
 
 def _cmd_simulate(args):
+    _check_seed(args.seed)
     model = _load_model_arg(args.model)
     policy = _parse_label_list(args.policy)
     kernels = None
@@ -193,9 +198,9 @@ def _cmd_simulate(args):
             raise ModelError("simulate needs a model without a horizon")
         # the adversary's rows against this policy's own robust values
         idx = model.policy_indices(policy)
-        v = _contract_policy(model, idx, np.zeros(model.n_states))
-        r = model.scalar_radius()
-        kernels = _backup(model, v, r, policy_idx=idx)[2]
+        _, kernels = _evaluate_adversary(
+            model, idx, np.zeros(model.n_states), model.scalar_radius()
+        )
     cfg = RolloutConfig(
         episodes=args.episodes,
         horizon_cap=args.horizon_cap,
@@ -390,6 +395,11 @@ def _attach_negative_lists(argv):
         else:
             out.append(tok)
     return out
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise ModelError(f"--seed must be non-negative, got {seed}")
 
 
 def _parse_float_list(text, flag):

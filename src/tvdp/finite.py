@@ -168,10 +168,13 @@ def _backup(model, v, radius, policy_idx=None):
     """The robust backup at every state: values, argmin actions, worst rows.
 
     Returns ``(values, idx, rows)``: ``values[i]`` is the minimum over actions
-    of ``f + max <c + discount * v, nu>`` over the ball of ``radius``, with
-    ties going to the lowest action index, and ``rows[i]`` the maximizing
-    kernel row under action ``idx[i]``. With ``policy_idx`` only that action
-    is considered at each state, which evaluates the fixed policy.
+    of ``f + max <c + discount * v, nu>`` over the ball of ``radius``;
+    ``idx[i]`` is the lowest action index whose value lies within
+    ``DEFAULT_TIE_TOL * max(1, |values[i]|)`` of that minimum, and ``rows[i]``
+    the maximizing kernel row under action ``idx[i]``. The tolerance makes
+    the reported action independent of rounding noise where actions tie.
+    With ``policy_idx`` only that action is considered at each state, which
+    evaluates the fixed policy.
     """
     n = model.n_states
     base = model.discount * v
@@ -183,14 +186,20 @@ def _backup(model, v, radius, policy_idx=None):
         f = model.cost_scalar[i]
         cv = model.cost_vector[i]
         actions = range(rows.shape[0]) if policy_idx is None else (policy_idx[i],)
-        best = np.inf
+        vals, nus = [], []
         for a in actions:
             payoff = base if cv is None else cv[a] + base
             nu, wf_value, _, _ = _waterfill(rows[a], payoff, radius, DEFAULT_TIE_TOL)
-            val = f[a] + wf_value
-            if val < best:
-                best = val
-                idx[i] = a
-                rows_out[i, :] = nu
+            vals.append(f[a] + wf_value)
+            nus.append(nu)
+        best = min(vals)
+        k = vals.index(best)
+        if k:
+            cut = best + DEFAULT_TIE_TOL * max(1.0, abs(best))
+            k = 0
+            while vals[k] > cut:
+                k += 1
         values[i] = best
+        idx[i] = actions[k]
+        rows_out[i, :] = nus[k]
     return values, idx, rows_out

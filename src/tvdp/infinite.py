@@ -7,15 +7,17 @@ The robust Bellman operator backed by the water-fill oracle,
 is an sup-norm contraction with modulus ``a`` (the discount), so value
 iteration converges geometrically and the fixed point is unique.
 
-Policy iteration follows the frozen-kernel scheme: evaluate the policy under
-the nominal kernel, order states by those values, build the worst kernel per
-(state, action) by water-filling against that ordering, solve the resulting
-linear system, improve greedily, repeat. ``mode="paper"`` keeps the ordering
-from the nominal evaluation each round; ``mode="fixed_point"`` re-identifies
-the ordering from the robust values until the level partition stabilizes,
-which makes the returned values an exact fixed point of T. Both modes require
-scalar stage costs (ordering states by values alone only captures the
-adversary's objective when costs do not depend on the next state).
+Policy iteration comes in two modes. ``mode="paper"`` follows the paper's
+frozen-kernel scheme: evaluate the policy under the nominal kernel, order
+states by those values, build the worst kernel per (state, action) by
+water-filling against that ordering, solve the resulting linear system,
+improve greedily against the frozen kernels, repeat. It requires scalar stage
+costs (ordering states by values alone only captures the adversary's
+objective when costs do not depend on the next state). ``mode="fixed_point"``
+evaluates each policy exactly: it alternates the adversary's maximizing rows
+against the current values with a linear solve under those rows until the
+rows no longer raise the values, and improves with a full robust backup. Its values are an exact
+fixed point of T, for scalar and next-state costs alike.
 """
 
 import logging
@@ -33,10 +35,12 @@ log = logging.getLogger("tvdp.infinite")
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200000
 IMPROVE_TOL = 1e-12
+EVALUATION_TOL = 1e-12
+ADVERSARY_MAX_ROUNDS = 64
 
 
 class PolicyIterationError(RuntimeError):
-    """Policy iteration revisited a policy without converging."""
+    """Policy iteration revisited a policy, or a policy evaluation did not settle."""
 
 
 @dataclass(frozen=True)
@@ -55,13 +59,18 @@ class StationarySolution:
 
 @dataclass(frozen=True)
 class PolicyIterationStep:
-    """Snapshot of one policy-iteration round (0 is the initialization)."""
+    """Snapshot of one policy-iteration round (0 is the initialization).
+
+    ``paper`` mode records the nominal values' level partition and the frozen
+    worst rows per state and action; ``fixed_point`` mode records no partition
+    and the adversary's (n_states, n_states) rows under the step's policy.
+    """
 
     iteration: int
     policy: tuple
     nominal_values: np.ndarray
     partition: object
-    worst_kernels: tuple
+    worst_kernels: object
     robust_values: np.ndarray
 
 
@@ -164,17 +173,18 @@ def build_worst_kernels(model, reference_values, radius=None):
 
 
 def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=1000):
-    """Frozen-kernel policy iteration.
+    """Robust policy iteration, in the paper's frozen-kernel or the fixed-point mode.
 
     Parameters
     ----------
     model : RobustMdpModel
-        Stationary model with scalar stage costs.
+        Stationary model; ``paper`` mode needs scalar stage costs.
     initial_policy : sequence of action labels or indices, optional
         Defaults to the lowest-index action everywhere.
     mode : {"fixed_point", "paper"}
-        How the worst kernels are refreshed during evaluation; see the module
-        docstring. ``fixed_point`` returns an exact fixed point of T.
+        How policies are evaluated and improved; see the module docstring.
+        ``fixed_point`` returns an exact fixed point of T and reports the
+        greedy actions of its final backup, lowest index among ties.
     max_iter : int
         Cap on improvement iterations; exceeding it returns
         ``converged=False``.
@@ -186,55 +196,55 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         reproduces the incumbent policy and stops the loop.
     """
     _require_stationary(model)
-    if model.has_vector_cost:
-        raise ModelError(
-            "policy_iteration requires scalar stage costs; "
-            "use value_iteration for next-state-dependent costs"
-        )
     if mode not in ("paper", "fixed_point"):
         raise ValueError(f"unknown policy iteration mode {mode!r}")
+    if mode == "paper" and model.has_vector_cost:
+        raise ModelError(
+            "policy_iteration(mode='paper') requires scalar stage costs; "
+            "use mode='fixed_point' for next-state-dependent costs"
+        )
     g = (
         np.zeros(model.n_states, dtype=np.intp)
         if initial_policy is None
         else model.policy_indices(initial_policy)
     )
+    r = model.scalar_radius()
 
-    nominal, part, worst, robust = _pi_evaluate(model, g, mode)
+    nominal, part, worst, robust = _pi_evaluate(model, g, mode, r)
     steps = [
         PolicyIterationStep(0, model.policy_labels(g), nominal, part, worst, robust)
     ]
     seen = {tuple(g)}
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    check = None
+    while iterations < max_iter and not converged:
         iterations += 1
-        g_new = _improve(model, g, worst, robust)
-        if np.array_equal(g_new, g):
-            # the barren improvement reproduces the incumbent and stops the loop
-            steps.append(
-                PolicyIterationStep(
-                    iterations, model.policy_labels(g), nominal, part, worst, robust
+        if mode == "paper":
+            g_new = _improve(model, g, worst, robust)
+        else:
+            check, idx, rows = _backup(model, robust, r)
+            g_new = np.where(check < robust - IMPROVE_TOL, idx, g)
+        # the barren improvement reproduces the incumbent and stops the loop
+        converged = np.array_equal(g_new, g)
+        if not converged:
+            g, check = g_new, None
+            if tuple(g) in seen:
+                raise PolicyIterationError(
+                    f"policy {model.policy_labels(g)} revisited at iteration "
+                    f"{iterations} (mode={mode}); the policy evaluation is cycling"
                 )
-            )
-            converged = True
-            break
-        g = g_new
-        key = tuple(g)
-        if key in seen:
-            raise PolicyIterationError(
-                f"policy {model.policy_labels(g)} revisited at iteration "
-                f"{iterations} (mode={mode}); the frozen-kernel evaluation is cycling"
-            )
-        seen.add(key)
-        nominal, part, worst, robust = _pi_evaluate(model, g, mode)
+            seen.add(tuple(g))
+            nominal, part, worst, robust = _pi_evaluate(model, g, mode, r)
         steps.append(
-            PolicyIterationStep(
-                iterations, model.policy_labels(g), nominal, part, worst, robust
-            )
+            PolicyIterationStep(iterations, model.policy_labels(g), nominal, part, worst, robust)
         )
 
-    rows = np.array([worst[i][a] for i, a in enumerate(g)])
-    check, _, _ = _backup(model, robust, model.scalar_radius())
+    if check is None:
+        check, idx, rows = _backup(model, robust, r)
+    if mode == "paper":
+        idx = g
+        rows = np.array([worst[i][a] for i, a in enumerate(g)])
     residual = float(np.abs(check - robust).max())
     scale = max(1.0, float(np.abs(robust).max()))
     if converged and residual > 1e-8 * scale:
@@ -250,8 +260,8 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
     )
     solution = StationarySolution(
         values=robust,
-        policy=model.policy_labels(g),
-        policy_idx=g,
+        policy=model.policy_labels(idx),
+        policy_idx=idx,
         worst_kernel_matrix=rows,
         residual=residual,
         iterations=iterations,
@@ -267,17 +277,20 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
 def sweep_radius_infinite(model, radii):
     """Stationary values and policies across a grid of radii.
 
-    Each point is polished to an exact fixed point (linear solve on the
-    frozen worst kernels) so sweep curves are accurate well past the value
-    iteration stopping tolerance.
+    Each point is an exact fixed point, solved by fixed-point policy
+    iteration started from the previous point's policy. The actions are the
+    final backup's, lowest index among ties, so they do not depend on the
+    grid's order.
     """
     _require_stationary(model)
     points = []
+    policy = None
     for r in radii:
-        values, idx, _ = _exact_stationary(model, _check_radius(r))
-        points.append(
-            SweepPoint(radius=float(r), values=values, policy=model.policy_labels(idx))
+        sol, _ = policy_iteration(
+            model.with_radius(_check_radius(r)), initial_policy=policy, mode="fixed_point"
         )
+        policy = sol.policy_idx
+        points.append(SweepPoint(radius=float(r), values=sol.values, policy=sol.policy))
     return points
 
 
@@ -334,66 +347,41 @@ def _solve_linear(alpha, rows, costs):
     return np.linalg.solve(np.eye(n) - alpha * rows, costs)
 
 
-def _solve_frozen(model, idx, worst):
-    """Policy values with the worst kernels held fixed (linear solve)."""
-    rows, costs = _policy_system(model, idx, [worst[i][a] for i, a in enumerate(idx)])
-    return _solve_linear(model.discount, rows, costs)
-
-
-def _partition_key(part):
-    return (part.sigma_max, part.sigma_levels)
-
-
-def _pi_evaluate(model, idx, mode):
-    """Evaluate a policy: nominal values, state ordering, frozen worst kernels,
-    and the robust values under those kernels."""
+def _pi_evaluate(model, idx, mode, radius):
+    """Evaluate a policy: nominal values, the paper mode's state ordering (or
+    None), the worst kernels, and the robust values under those kernels."""
     nominal = policy_evaluation_nominal(model, idx)
     if mode == "paper":
         part = partition_levels(nominal)
         worst = build_worst_kernels(model, nominal)
-        robust = _solve_frozen(model, idx, worst)
+        frozen = [worst[i][a] for i, a in enumerate(idx)]
+        robust = _solve_linear(model.discount, *_policy_system(model, idx, frozen))
         return nominal, part, worst, robust
-    robust, part, worst = _stabilize_supports(model, idx, nominal)
-    return nominal, part, worst, robust
+    robust, rows = _evaluate_adversary(model, idx, nominal, radius)
+    return nominal, None, rows, robust
 
 
-def _stabilize_supports(model, idx, reference, max_rounds=64):
-    """Re-identify the level partition from the robust values until stable."""
-    ref = reference
-    seen = set()
-    worst = None
-    values = None
-    for _ in range(max_rounds):
-        part = partition_levels(ref)
-        key = _partition_key(part)
-        worst = build_worst_kernels(model, ref)
-        values = _solve_frozen(model, idx, worst)
-        new_part = partition_levels(values)
-        if _partition_key(new_part) == key:
-            return values, new_part, worst
-        if key in seen:
-            break
-        seen.add(key)
-        ref = values
-    # partition cycling: fall back to contraction on the frozen-policy operator
-    log.debug("support partition cycling; falling back to contraction iteration")
-    values = _contract_policy(model, idx, values)
-    worst = build_worst_kernels(model, values)
-    values = _solve_frozen(model, idx, worst)
-    return values, partition_levels(values), worst
+def _evaluate_adversary(model, idx, v, radius):
+    """Robust values of a fixed policy, and the adversary's rows attaining them.
 
-
-def _contract_policy(model, idx, v, max_iter=100000):
-    """Iterate the fixed-policy robust operator to machine accuracy."""
-    radius = model.scalar_radius()
-    while max_iter > 0:
-        max_iter -= 1
-        new_v = _backup(model, v, radius, policy_idx=idx)[0]
-        delta = float(np.abs(new_v - v).max())
-        v = new_v
-        if delta <= 1e-13 * max(1.0, float(np.abs(v).max())):
-            break
-    return v
+    Policy iteration for the adversary, from ``v``: solve the policy's linear
+    system under the maximizing rows, until those rows raise the values by at
+    most ``EVALUATION_TOL * max(1, |v|)``. Repeated rows stop it, and so do
+    tied levels whose rows differ only in the last bit. Every solve is the
+    value of a feasible adversary, so the values rise monotonically and the
+    loop stops; one that does not within ``ADVERSARY_MAX_ROUNDS`` is an error.
+    """
+    rows = _backup(model, v, radius, policy_idx=idx)[2]
+    for _ in range(ADVERSARY_MAX_ROUNDS):
+        v = _solve_linear(model.discount, *_policy_system(model, idx, rows))
+        raised, _, new_rows = _backup(model, v, radius, policy_idx=idx)
+        if (raised - v).max() <= EVALUATION_TOL * max(1.0, float(np.abs(v).max())):
+            return v, rows
+        rows = new_rows
+    raise PolicyIterationError(
+        f"adversary evaluation of policy {model.policy_labels(idx)} did not settle "
+        f"within {ADVERSARY_MAX_ROUNDS} rounds"
+    )
 
 
 def _improve(model, g, worst, robust):
@@ -407,21 +395,3 @@ def _improve(model, g, worst, robust):
         if q[best_a] < robust[i] - IMPROVE_TOL and best_a != g[i]:
             g_new[i] = best_a
     return g_new
-
-
-def _exact_stationary(model, radius):
-    """VI to tolerance, then Newton-style polish to an exact fixed point."""
-    sol = value_iteration(model, tol=1e-9, radius=radius)
-    v, idx, rows = sol.values, sol.policy_idx, sol.worst_kernel_matrix
-    best = (sol.residual, v, idx, rows)
-    for _ in range(32):
-        values = _solve_linear(
-            model.discount, rows, _policy_system(model, idx, list(rows))[1]
-        )
-        check, idx, rows = _backup(model, values, radius)
-        residual = float(np.abs(check - values).max())
-        if residual < best[0]:
-            best = (residual, values, idx, rows)
-        if residual <= 1e-12 * max(1.0, float(np.abs(values).max())):
-            break
-    return best[1], best[2], best[3]

@@ -37,6 +37,51 @@ GOLDEN_SWEEP = """radius,state,value,action
 """
 
 
+GOLDEN_SWEEP_STATIONARY = """radius,state,value,action
+0,x1,3.46153846154,u2
+0,x2,4.10256410256,u1
+0,x3,2.99145299145,u2
+0.25,x1,4.71153846154,u2
+0.25,x2,5.35256410256,u1
+0.25,x3,4.24145299145,u2
+0.5,x1,5.96153846154,u2
+0.5,x2,6.60256410256,u1
+0.5,x3,5.49145299145,u2
+0.75,x1,7.11861022364,u2
+0.75,x2,7.74161341853,u1
+0.75,x3,6.65002662407,u2
+1,x1,7.99559471366,u2
+1,x2,8.56828193833,u1
+1,x3,7.51101321586,u2
+1.25,x1,8.76511487304,u2
+1.25,x2,9.28506650544,u1
+1.25,x3,8.2330713422,u2
+1.5,x1,9.375,u2
+1.5,x2,9.875,u1
+1.5,x3,8.825,u2
+1.75,x1,9.5,u2
+1.75,x2,10,u1
+1.75,x3,8.99375,u2
+2,x1,9.5,u2
+2,x2,10,u1
+2,x3,9,u2
+"""
+
+# the machine model without a horizon, discounted at 0.9: next-state costs
+GOLDEN_SWEEP_VECTOR_COST = """radius,state,value,action
+0,running,672,m
+0,broken,692,r
+0.5,running,967,m
+0.5,broken,987,r
+1,running,1247.70642202,nm
+1,broken,1275.2293578,r
+1.5,running,1360,nm
+1.5,broken,1400,r
+2,running,1360,nm
+2,broken,1400,r
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -166,6 +211,27 @@ def test_sweep_stationary_model(capsys):
     assert [r[0] for r in rows[::3]] == ["0", "1", "2"]
 
 
+def test_sweep_stationary_golden_bytes(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--model", "threestate", "--radius-grid", "0:2:0.25"
+    )
+    assert code == 0
+    assert out == GOLDEN_SWEEP_STATIONARY
+
+
+def test_sweep_stationary_vector_cost_golden_bytes(capsys, tmp_path):
+    doc = json.loads(example_model_text("machine"))
+    del doc["horizon"], doc["terminal_cost"]
+    doc["discount"] = 0.9
+    path = tmp_path / "machine_stationary.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "sweep", "--model", str(path), "--radius-grid", "0:2:0.5"
+    )
+    assert code == 0
+    assert out == GOLDEN_SWEEP_VECTOR_COST
+
+
 def test_simulate_deterministic_json(capsys):
     argv = (
         "simulate", "--model", "threestate", "--policy", "u2,u1,u2",
@@ -266,6 +332,22 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert "error:" in err or "usage:" in err
+    # rejected at once, with a message that names the flag
+    flagged = [
+        ("--tol", ("solve-infinite", "--model", "threestate", "--tol", "nan")),
+        ("--tol", ("solve-infinite", "--model", "threestate", "--tol", "-1")),
+        ("--max-iter", ("solve-infinite", "--model", "threestate", "--max-iter", "-1")),
+        ("--max-iter", ("solve-infinite", "--model", "threestate", "--method", "pi",
+                        "--max-iter", "0")),
+        ("--seed", ("certify", "--instances", "2", "--seed", "-1")),
+        ("--seed", ("simulate", "--model", "threestate", "--policy", "u2,u1,u2",
+                    "--episodes", "10", "--seed", "-1")),
+    ]
+    for flag, argv in flagged:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: " + flag), (argv, err)
 
 
 def test_non_convergence_exits_two(capsys):

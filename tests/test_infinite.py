@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from tvdp import ModelError, example_model_text, parse_model
+from tvdp import ModelError, example_model_text, parse_model, sweep_csv
 from tvdp.infinite import (
     apply_bellman,
     build_worst_kernels,
@@ -17,7 +17,7 @@ from tvdp.infinite import (
     sweep_radius_infinite,
     value_iteration,
 )
-from tvdp.oracle import tv_distance
+from tvdp.oracle import DEFAULT_TIE_TOL, tv_distance, waterfill_maximize
 
 # exact fixed point of the frozen-kernel system under (u2, u1, u2)
 EXACT = np.array([265 / 39, 290 / 39, 740 / 117])
@@ -46,6 +46,34 @@ DIVERGENT_DOC = {
     "discount": 0.7686347795232398,
     "radius": 1.3483457628689206,
 }
+
+
+def _sparse_saturating_model(seed=5, n=8):
+    """Three nonzeros per kernel row and integer costs in 0..3.
+
+    Large radii saturate many rows, after which actions tie exactly; with
+    this seed the lowest tied index is not the one that rounding noise
+    favours.
+    """
+    rng = np.random.default_rng(seed)
+    states = [f"s{i}" for i in range(n)]
+    acts = ["a0", "a1", "a2"]
+    kernel, cost = {}, {}
+    for s in states:
+        kernel[s], cost[s] = {}, {}
+        for a in acts:
+            row = np.zeros(n)
+            row[rng.choice(n, size=3, replace=False)] = rng.dirichlet(np.ones(3))
+            kernel[s][a] = [float(x) for x in row]
+            cost[s][a] = float(rng.integers(0, 4))
+    return parse_model({
+        "states": states,
+        "actions": {s: acts for s in states},
+        "kernel": kernel,
+        "cost": cost,
+        "discount": 0.9,
+        "radius": 0.5,
+    })
 
 
 def _solve_nominal(q, f, alpha=0.9):
@@ -280,15 +308,24 @@ def test_paper_mode_silent_on_the_example(threestate):
         policy_iteration(threestate, mode="fixed_point")
 
 
-def test_policy_iteration_rejects_vector_costs():
+def test_policy_iteration_vector_costs():
     doc = json.loads(example_model_text("machine"))
     del doc["horizon"]
     del doc["terminal_cost"]
     doc["discount"] = 0.9
     model = parse_model(doc)
-    assert value_iteration(model).converged
     with pytest.raises(ModelError):
-        policy_iteration(model)
+        policy_iteration(model, mode="paper")
+    rng = np.random.default_rng(37)
+    models = [model] + [
+        random_model(rng, max_states=4, max_actions=3, vector_cost=True) for _ in range(20)
+    ]
+    for m in models:
+        vi = value_iteration(m)
+        pi, _ = policy_iteration(m, mode="fixed_point")
+        assert vi.converged and pi.converged
+        assert np.abs(pi.values - vi.values).max() <= 1e-9
+        assert pi.policy == vi.policy
 
 
 def test_policy_iteration_unknown_mode(threestate):
@@ -304,6 +341,35 @@ def test_sweep_radius_infinite_curve(threestate):
     stacked = np.array([pt.values for pt in points])
     assert np.all(np.diff(stacked, axis=0) >= -1e-12)
     assert np.all(np.diff(stacked, axis=0, n=2) <= 1e-9)
+
+
+def test_sweep_radius_infinite_is_path_independent():
+    model = _sparse_saturating_model()
+    grid = [round(0.1 * k, 10) for k in range(21)]
+    points = sweep_radius_infinite(model, grid)
+    forward = sweep_csv(points, model.states)
+    header, _, _ = forward.partition("\n")
+    singles = [sweep_csv(sweep_radius_infinite(model, [r]), model.states) for r in grid]
+    assert forward == header + "\n" + "".join(t.partition("\n")[2] for t in singles)
+    backward = sweep_radius_infinite(model, grid[::-1])
+    assert sweep_csv(backward[::-1], model.states) == forward
+
+    tied = saturated = 0
+    for point in points:
+        for i in range(model.n_states):
+            q = []
+            for a in range(len(model.actions[i])):
+                res = waterfill_maximize(
+                    model.kernels[i][a], model.discount * point.values, point.radius
+                )
+                q.append(model.cost_scalar[i][a] + res.value)
+                saturated += res.r_max <= point.radius
+            q = np.array(q)
+            within = q <= q.min() + DEFAULT_TIE_TOL * max(1.0, abs(q.min()))
+            tied += within.sum() >= 2
+            assert model.actions[i].index(point.policy[i]) == int(np.argmax(within)), (
+                point.radius, model.states[i], q)
+    assert tied and saturated
 
 
 def test_stationary_record_metadata(threestate):

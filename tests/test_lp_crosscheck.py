@@ -8,19 +8,26 @@ is handed to HiGHS through ``scipy.optimize.linprog`` instead of the
 water-fill. It checks ``solve_finite`` on the machine model at every stage
 and radius of the ``0:2:0.05`` grid, and it reproduces the convex stretch of
 the stage-0 curve that acceptance criterion 5 pins. The same LP Bellman
-operator checks that value iteration and policy iteration return its fixed
-points, including on a model whose rows put no nominal mass on the argmax
-set and whose values tie exactly.
+operator checks that value iteration, policy iteration and every point of a
+warm-started radius sweep return its fixed points, including on a model whose
+rows put no nominal mass on the argmax set and whose values tie exactly, and
+on a model with next-state costs.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from tvdp import load_example, parse_model  # noqa: E402
+from tvdp import example_model_text, load_example, parse_model  # noqa: E402
 from tvdp.finite import solve_finite  # noqa: E402
-from tvdp.infinite import policy_iteration, value_iteration  # noqa: E402
+from tvdp.infinite import (  # noqa: E402
+    policy_iteration,
+    sweep_radius_infinite,
+    value_iteration,
+)
 
 GRID = [round(0.05 * k, 10) for k in range(41)]
 
@@ -100,6 +107,14 @@ def _sparse_tied_model(seed=28, n=6):
     })
 
 
+def _machine_stationary():
+    """The machine model without a horizon, discounted: next-state costs."""
+    doc = json.loads(example_model_text("machine"))
+    del doc["horizon"], doc["terminal_cost"]
+    doc["discount"] = 0.9
+    return parse_model(doc)
+
+
 def _assert_lp_fixed_point(model, values, radius):
     residual = np.abs(_lp_bellman(model, values, radius) - values)
     assert np.all(residual <= 1e-7 * np.maximum(1.0, np.abs(values))), (radius, residual)
@@ -139,19 +154,24 @@ def test_lp_reproduces_stage0_convex_stretch(lp_machine_curves):
     assert np.abs(stretch - (5.3125 + 0.125 * np.arange(6))).max() <= 1e-9
 
 
-@pytest.mark.parametrize("name", ["threestate", "sparse_tied"])
+@pytest.mark.parametrize("name", ["threestate", "sparse_tied", "vector_cost"])
 def test_stationary_solvers_are_lp_fixed_points(name):
     if name == "threestate":
         model, grid = load_example("threestate"), [round(0.1 * k, 10) for k in range(21)]
-    else:
+    elif name == "sparse_tied":
         model, grid = _sparse_tied_model(), [0.0, 0.3, 0.8, 1.4, 2.0]
+    else:
+        model, grid = _machine_stationary(), [round(0.25 * k, 10) for k in range(9)]
+    points = sweep_radius_infinite(model, grid)
+    assert [p.radius for p in points] == grid
     massless_top = tied_top = False
-    for r in grid:
+    for r, point in zip(grid, points):
         m = model.with_radius(r)
         vi = value_iteration(m)
         pi, _ = policy_iteration(m, mode="fixed_point")
         _assert_lp_fixed_point(m, vi.values, r)
         _assert_lp_fixed_point(m, pi.values, r)
+        _assert_lp_fixed_point(m, point.values, r)
         top = pi.values >= pi.values.max()
         massless_top |= any(
             rows[a][top].sum() == 0.0 for rows in m.kernels for a in range(len(rows))
