@@ -190,6 +190,8 @@ def _cmd_certify(args):
 
 def _cmd_simulate(args):
     _check_seed(args.seed)
+    if args.jobs < 1:
+        raise ModelError(f"--jobs must be at least 1, got {args.jobs}")
     model = _load_model_arg(args.model)
     policy = _parse_label_list(args.policy)
     kernels = None

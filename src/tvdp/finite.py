@@ -18,9 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, _waterfill, waterfill_maximize
+from .oracle import DEFAULT_TIE_TOL, _waterfill, _waterfill_rows, waterfill_maximize
 
 log = logging.getLogger("tvdp.finite")
+
+# S·A·n from which one batched water-fill over all kernel rows beats the
+# per-row loop (measured crossover; below it numpy's per-call cost dominates)
+BATCH_MIN_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,14 @@ def _backup(model, v, radius, policy_idx=None):
     the reported action independent of rounding noise where actions tie.
     With ``policy_idx`` only that action is considered at each state, which
     evaluates the fixed policy.
+
+    Models with at least ``BATCH_MIN_ENTRIES`` kernel entries (S·A·n) are
+    water-filled in one batch over all rows (:func:`oracle._waterfill_rows`);
+    their values may differ from the per-row kernel's in the last bits, and
+    the actions follow the same tie rule.
     """
+    if model.kernel_entries >= BATCH_MIN_ENTRIES:
+        return _backup_rows(model, v, radius, policy_idx)
     n = model.n_states
     base = model.discount * v
     values = np.empty(n)
@@ -203,3 +214,25 @@ def _backup(model, v, radius, policy_idx=None):
         idx[i] = actions[k]
         rows_out[i, :] = nus[k]
     return values, idx, rows_out
+
+
+def _backup_rows(model, v, radius, policy_idx):
+    """:func:`_backup` with one batched water-fill over the stacked rows."""
+    st = model.row_stack
+    if policy_idx is None:
+        kernels, f, cv = st.kernels, st.cost_scalar, st.cost_vector
+    else:
+        pick = st.starts + policy_idx
+        kernels, f = st.kernels[pick], st.cost_scalar[pick]
+        cv = None if st.cost_vector is None else st.cost_vector[pick]
+    base = model.discount * v
+    payoff = np.broadcast_to(base, kernels.shape) if cv is None else cv + base
+    nus, wf_values = _waterfill_rows(kernels, payoff, radius, DEFAULT_TIE_TOL)
+    q = f + wf_values
+    if policy_idx is not None:
+        return q, np.array(policy_idx, dtype=np.intp), nus
+    best = np.minimum.reduceat(q, st.starts)
+    cut = best + DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
+    within = q <= np.repeat(cut, st.counts)
+    first = np.minimum.reduceat(np.where(within, np.arange(q.size), q.size), st.starts)
+    return best, first - st.starts, nus[first]

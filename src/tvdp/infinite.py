@@ -21,14 +21,15 @@ fixed point of T, for scalar and next-state costs alike.
 """
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .finite import _backup
+from .finite import BATCH_MIN_ENTRIES, _backup
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, _waterfill, partition_levels
+from .oracle import DEFAULT_TIE_TOL, _waterfill, _waterfill_rows, partition_levels
 
 log = logging.getLogger("tvdp.infinite")
 
@@ -102,8 +103,12 @@ def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=No
     Stops once the sup-norm step falls below ``tol * (1 - a) / (2 a)``, which
     bounds the fixed-point residual of the returned values by ``tol``. Hitting
     ``max_iter`` first returns the best iterate flagged ``converged=False``.
+    ``tol`` must be finite and positive and ``max_iter`` at least 1.
     """
     _require_stationary(model)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    _check_max_iter(max_iter)
     r = model.scalar_radius() if radius is None else _check_radius(radius)
     alpha = model.discount
     threshold = tol * (1.0 - alpha) / (2.0 * alpha)
@@ -154,7 +159,8 @@ def build_worst_kernels(model, reference_values, radius=None):
     """Maximizing kernel row per (state, action) against a state ordering.
 
     Only the ordering (level partition) of ``reference_values`` matters: each
-    nominal row is water-filled toward the high-value states. Returns one
+    nominal row is water-filled toward the high-value states, in one batch
+    under the size rule of :func:`finite._backup`. Returns one
     (n_actions, n_states) array per state.
     """
     _require_stationary(model)
@@ -162,6 +168,12 @@ def build_worst_kernels(model, reference_values, radius=None):
     if ref.shape != (model.n_states,) or not np.all(np.isfinite(ref)):
         raise ModelError("reference_values must be a finite vector over the states")
     r = model.scalar_radius() if radius is None else _check_radius(radius)
+    if model.kernel_entries >= BATCH_MIN_ENTRIES:
+        st = model.row_stack
+        nus, _ = _waterfill_rows(
+            st.kernels, np.broadcast_to(ref, st.kernels.shape), r, DEFAULT_TIE_TOL
+        )
+        return tuple(np.split(nus, st.starts[1:]))
     out = []
     for i in range(model.n_states):
         rows = model.kernels[i]
@@ -186,7 +198,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         ``fixed_point`` returns an exact fixed point of T and reports the
         greedy actions of its final backup, lowest index among ties.
     max_iter : int
-        Cap on improvement iterations; exceeding it returns
+        Cap on improvement iterations, at least 1; exceeding it returns
         ``converged=False``.
 
     Returns
@@ -196,6 +208,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         reproduces the incumbent policy and stops the loop.
     """
     _require_stationary(model)
+    _check_max_iter(max_iter)
     if mode not in ("paper", "fixed_point"):
         raise ValueError(f"unknown policy iteration mode {mode!r}")
     if mode == "paper" and model.has_vector_cost:
@@ -320,6 +333,11 @@ def stationary_solution_record(model, sol):
 def _require_stationary(model):
     if model.is_finite:
         raise ModelError("stationary solvers need a model without a horizon")
+
+
+def _check_max_iter(max_iter):
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _check_radius(radius):

@@ -28,6 +28,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,23 @@ _MODEL_KEYS = {
 
 class ModelError(ValueError):
     """Invalid model document or solution document."""
+
+
+@dataclass(frozen=True)
+class RowStack:
+    """Every (state, action) of a model as one row, states in order.
+
+    ``kernels`` is the ``(M, n)`` matrix of nominal rows with ``M`` the number
+    of (state, action) pairs; ``cost_scalar`` and ``cost_vector`` (``None``
+    without next-state costs, zeros for rows that have none) follow the same
+    rows. The rows of state ``i`` start at ``starts[i]``, ``counts[i]`` of them.
+    """
+
+    kernels: np.ndarray
+    cost_scalar: np.ndarray
+    cost_vector: object
+    starts: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,6 +96,29 @@ class RobustMdpModel:
     @property
     def has_vector_cost(self):
         return any(cv is not None for cv in self.cost_vector)
+
+    @cached_property
+    def kernel_entries(self):
+        """Entries of all nominal kernel rows together, S·A·n."""
+        return sum(rows.size for rows in self.kernels)
+
+    @cached_property
+    def row_stack(self):
+        """The model's rows and costs stacked once (see :class:`RowStack`)."""
+        counts = np.array([rows.shape[0] for rows in self.kernels], dtype=np.intp)
+        cost_vector = None
+        if self.has_vector_cost:
+            cost_vector = np.concatenate([
+                np.zeros_like(rows) if cv is None else cv
+                for rows, cv in zip(self.kernels, self.cost_vector)
+            ])
+        return RowStack(
+            kernels=np.concatenate(self.kernels),
+            cost_scalar=np.concatenate(self.cost_scalar),
+            cost_vector=cost_vector,
+            starts=np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp),
+            counts=counts,
+        )
 
     def scalar_radius(self):
         """The single radius of a stationary model (or a broadcast scalar)."""

@@ -290,3 +290,66 @@ def _waterfill(mu, levels, radius, tie_tol):
     for i in range(n):
         value += levels[i] * nu[i]
     return nu, value, alpha, r_max
+
+
+def _waterfill_rows(kernels, levels, radius, tie_tol):
+    """:func:`_waterfill` for every row of a stacked ``(M, n)`` kernel matrix.
+
+    ``levels`` holds each row's payoff in the same shape (a broadcast view
+    works). Rows are grouped by the tie rule of :func:`_sorted_groups` and
+    level-set masses are summed as that kernel sums them; the drain of each
+    lower set is ``clip(R/2 - mass below it, 0, its mass)`` rather than a
+    running budget, so ``nu`` and the values may differ from the per-row
+    kernel in the last bits. Returns ``(nu, values)``.
+    """
+    m, n = kernels.shape
+    order = np.argsort(levels, axis=1, kind="stable")
+    row_base = n * np.arange(m)[:, None]
+    flat = order + row_base  # flat positions of each row's entries, ascending
+    lv = np.take(levels, flat)
+    mu = np.take(kernels, flat)
+
+    # start[r, k]: sorted entry k opens a level set of row r. Where every gap
+    # clears the tolerance each entry is its own set; rows with a near-tie
+    # take the anchored pass, column by column
+    start = np.empty((m, n), dtype=bool)
+    start[:, 0] = True
+    start[:, 1:] = lv[:, 1:] - lv[:, :-1] > tie_tol * np.maximum(1.0, np.abs(lv[:, :-1]))
+    near = np.flatnonzero(~start.all(axis=1))
+    if near.size:
+        sub = lv[near]
+        anchor = sub[:, 0]
+        for k in range(1, n):
+            col = sub[:, k]
+            opens = col - anchor > tie_tol * np.maximum(1.0, np.abs(anchor))
+            start[near, k] = opens
+            anchor = np.where(opens, col, anchor)
+
+    gid = np.cumsum(start, axis=1) - 1
+    top = gid[:, -1]
+    gflat = gid + row_base
+    # bincount adds in sorted order, as the per-row kernel does
+    mass = np.bincount(gflat.ravel(), weights=mu.ravel(), minlength=m * n).reshape(m, n)
+    mass_top = np.take(mass, top + row_base[:, 0])
+    r_max = np.where(top > 0, np.maximum(2.0 * (1.0 - mass_top), 0.0), 0.0)
+    half = 0.5 * np.minimum(radius, r_max)
+
+    below = np.zeros((m, n))
+    np.cumsum(mass[:, :-1], axis=1, out=below[:, 1:])
+    take = np.minimum(np.maximum(half[:, None] - below, 0.0), mass)
+    take_e = np.take(take, gflat)
+    mass_e = np.take(mass, gflat)
+    # a set drained whole has take / mass == 1 exactly, so it lands on 0
+    drained = take_e > 0.0
+    nu_s = mu - mu * np.divide(take_e, mass_e, out=np.zeros((m, n)), where=drained)
+
+    # the top set is lifted, never drained
+    lifted = mass_top > 0.0
+    scale = np.divide(half, mass_top, out=np.zeros(m), where=lifted)
+    is_top = gid == top[:, None]
+    add = np.where(lifted, 0.0, half / is_top.sum(axis=1))
+    nu_s = np.where(is_top, mu + mu * scale[:, None] + add[:, None], nu_s)
+
+    nu = np.empty((m, n))
+    nu.ravel()[flat] = nu_s
+    return nu, np.einsum("ij,ij->i", lv, nu_s)

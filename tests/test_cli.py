@@ -342,6 +342,10 @@ def test_invalid_inputs_exit_one(capsys, tmp_path):
         ("--seed", ("certify", "--instances", "2", "--seed", "-1")),
         ("--seed", ("simulate", "--model", "threestate", "--policy", "u2,u1,u2",
                     "--episodes", "10", "--seed", "-1")),
+        ("--jobs", ("simulate", "--model", "threestate", "--policy", "u2,u1,u2",
+                    "--episodes", "100", "--jobs", "0")),
+        ("--jobs", ("simulate", "--model", "threestate", "--policy", "u2,u1,u2",
+                    "--episodes", "100", "--jobs", "-4")),
     ]
     for flag, argv in flagged:
         code, out, err = run_cli(capsys, *argv)

@@ -155,6 +155,26 @@ def test_value_iteration_max_iter_flagged(threestate):
     assert sol.residual > 0.0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan"), "max_iter": 2000},
+    {"tol": float("inf")},
+    {"tol": -1.0},
+    {"tol": 0.0},
+    {"max_iter": 0},
+    {"max_iter": -1},
+])
+def test_value_iteration_rejects_bad_arguments(threestate, kwargs):
+    with pytest.raises(ValueError):
+        value_iteration(threestate, **kwargs)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_policy_iteration_rejects_bad_max_iter(threestate, max_iter):
+    for mode in ("fixed_point", "paper"):
+        with pytest.raises(ValueError):
+            policy_iteration(threestate, mode=mode, max_iter=max_iter)
+
+
 def test_value_iteration_requires_stationary(machine):
     with pytest.raises(ModelError):
         value_iteration(machine)

@@ -11,7 +11,8 @@ the stage-0 curve that acceptance criterion 5 pins. The same LP Bellman
 operator checks that value iteration, policy iteration and every point of a
 warm-started radius sweep return its fixed points, including on a model whose
 rows put no nominal mass on the argmax set and whose values tie exactly, and
-on a model with next-state costs.
+on a model with next-state costs. The stationary cases include models on
+both sides of ``BATCH_MIN_ENTRIES``, so both backup paths are checked.
 """
 
 import json
@@ -22,7 +23,7 @@ import pytest
 optimize = pytest.importorskip("scipy.optimize")
 
 from tvdp import example_model_text, load_example, parse_model  # noqa: E402
-from tvdp.finite import solve_finite  # noqa: E402
+from tvdp.finite import BATCH_MIN_ENTRIES, solve_finite  # noqa: E402
 from tvdp.infinite import (  # noqa: E402
     policy_iteration,
     sweep_radius_infinite,
@@ -154,14 +155,27 @@ def test_lp_reproduces_stage0_convex_stretch(lp_machine_curves):
     assert np.abs(stretch - (5.3125 + 0.125 * np.arange(6))).max() <= 1e-9
 
 
-@pytest.mark.parametrize("name", ["threestate", "sparse_tied", "vector_cost"])
-def test_stationary_solvers_are_lp_fixed_points(name):
+STATIONARY_CASES = ["threestate", "sparse_tied", "vector_cost"]
+
+
+def _stationary_case(name):
+    """A stationary model and its radius grid."""
     if name == "threestate":
-        model, grid = load_example("threestate"), [round(0.1 * k, 10) for k in range(21)]
-    elif name == "sparse_tied":
-        model, grid = _sparse_tied_model(), [0.0, 0.3, 0.8, 1.4, 2.0]
-    else:
-        model, grid = _machine_stationary(), [round(0.25 * k, 10) for k in range(9)]
+        return load_example("threestate"), [round(0.1 * k, 10) for k in range(21)]
+    if name == "sparse_tied":
+        return _sparse_tied_model(), [0.0, 0.3, 0.8, 1.4, 2.0]
+    return _machine_stationary(), [round(0.25 * k, 10) for k in range(9)]
+
+
+def test_stationary_cases_cover_both_backup_paths():
+    # the per-row loop and the batched water-fill are each LP-checked
+    sizes = [_stationary_case(name)[0].kernel_entries for name in STATIONARY_CASES]
+    assert min(sizes) < BATCH_MIN_ENTRIES <= max(sizes), sizes
+
+
+@pytest.mark.parametrize("name", STATIONARY_CASES)
+def test_stationary_solvers_are_lp_fixed_points(name):
+    model, grid = _stationary_case(name)
     points = sweep_radius_infinite(model, grid)
     assert [p.radius for p in points] == grid
     massless_top = tied_top = False

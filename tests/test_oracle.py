@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_oracle_instance
+from conftest import random_model_doc, random_oracle_instance
 from tvdp import (
     as_distribution,
     oscillation,
     partition_levels,
     tv_distance,
     unclamped_value,
+    parse_model,
     waterfill_maximize,
 )
+from tvdp.finite import BATCH_MIN_ENTRIES, _backup
+from tvdp.infinite import build_worst_kernels
+from tvdp.oracle import DEFAULT_TIE_TOL, _waterfill, _waterfill_rows
 
 # hand-derived: (mu, levels, radius) -> (maximizer, value, effective_radius, r_max)
 FROZEN_CASES = [
@@ -252,3 +258,142 @@ def test_fast_path_agrees_when_no_clamping():
         scale = max(1.0, abs(res.value))
         assert abs(unclamped_value(mu, lv, r) - res.value) <= 1e-12 * scale
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the row-batched kernel against the per-row reference
+
+TIE = DEFAULT_TIE_TOL
+
+
+@st.composite
+def _level_row(draw, n):
+    kind = draw(st.sampled_from(["ties", "chain", "constant", "free"]))
+    if kind == "ties":
+        lv = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+    elif kind == "chain":
+        # steps of 0.6 tie tolerances: each gap is a tie, but the chain
+        # outgrows its anchor, so pairwise and anchored grouping disagree
+        base = draw(st.floats(-50.0, 50.0))
+        steps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        lv = base + 0.6 * TIE * max(1.0, abs(base)) * np.array(steps, float)
+    elif kind == "constant":
+        lv = np.full(n, draw(st.floats(-100.0, 100.0)))
+    else:
+        lv = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
+    return lv
+
+
+@st.composite
+def _kernel_row(draw, levels):
+    n = levels.size
+    w = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n
+    )))
+    if draw(st.booleans()):
+        # no nominal mass on the argmax set, unless it is everything
+        top = levels >= levels.max()
+        if not top.all():
+            w[top] = 0.0
+    if w.sum() == 0.0:
+        w[int(np.argmin(levels))] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def _batches(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        # one payoff shared by every row, as with scalar costs
+        levels = np.broadcast_to(draw(_level_row(n)), (m, n))
+    else:
+        levels = np.array([draw(_level_row(n)) for _ in range(m)])
+    kernels = np.array([draw(_kernel_row(row)) for row in levels])
+    radius = draw(st.one_of(st.just(0.0), st.just(2.0), st.floats(0.0, 2.0)))
+    return kernels, levels, radius
+
+
+_CHAIN = 0.6 * TIE * np.arange(4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+@example((np.array([[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]]),
+          np.array([[1.0, 3.0, 3.0], [0.0, 7.0, 7.0]]), 0.4))         # exact ties
+@example((np.full((2, 4), 0.25), np.array([1.0 + _CHAIN, -3.0 - 3.0 * _CHAIN]), 1.0))
+@example((np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]]),
+          np.array([[1.0, 2.0, 5.0], [-4.0, -1.0, -1.0]]), 2.0))      # massless tops
+@example((np.array([[0.2, 0.5, 0.3]]), np.array([[-7.0, -7.0, -7.0]]), 1.3))  # constant
+@example((np.array([[0.3, 0.7], [0.4, 0.6]]), np.array([[0.0, 100.0], [5.0, 1.0]]), 0.0))
+def test_waterfill_rows_matches_per_row_kernel(batch):
+    kernels, levels, radius = batch
+    nu, values = _waterfill_rows(kernels, levels, radius, TIE)
+    assert nu.shape == kernels.shape and values.shape == (kernels.shape[0],)
+    for i in range(kernels.shape[0]):
+        want_nu, want_value, _, _ = _waterfill(kernels[i], levels[i], radius, TIE)
+        assert np.abs(nu[i] - want_nu).max() <= 1e-12, i
+        assert abs(values[i] - want_value) <= 1e-12 * max(1.0, abs(want_value)), i
+
+
+def _reference_backup(model, v, radius, policy_idx=None):
+    """Per (state, action) water-fill and the lowest action within the tie rule."""
+    values, idx, rows = [], [], []
+    for i in range(model.n_states):
+        actions = range(len(model.actions[i])) if policy_idx is None else [policy_idx[i]]
+        q, nus = [], []
+        for a in actions:
+            payoff = model.discount * v
+            if model.cost_vector[i] is not None:
+                payoff = model.cost_vector[i][a] + payoff
+            nu, value, _, _ = _waterfill(model.kernels[i][a], payoff, radius, TIE)
+            q.append(model.cost_scalar[i][a] + value)
+            nus.append(nu)
+        best = min(q)
+        k = next(k for k, x in enumerate(q) if x <= best + TIE * max(1.0, abs(best)))
+        values.append(best)
+        idx.append(actions[k])
+        rows.append(nus[k])
+    return np.array(values), np.array(idx), np.array(rows)
+
+
+def _batched_model(cost, seed):
+    """A seeded 20-state model with up to 4 actions per state."""
+    rng = np.random.default_rng(seed)
+    doc = random_model_doc(rng, min_states=20, max_states=20, max_actions=4,
+                           vector_cost=cost == "vector", discount=0.8, radius=0.5)
+    if cost == "sparse":
+        # three nonzeros per row and integer costs: massless tops and ties
+        for s, acts in doc["kernel"].items():
+            for a in acts:
+                row = np.zeros(20)
+                row[rng.choice(20, size=3, replace=False)] = rng.dirichlet(np.ones(3))
+                acts[a] = [float(x) for x in row]
+                doc["cost"][s][a] = float(rng.integers(0, 4))
+    return parse_model(doc)
+
+
+@pytest.mark.parametrize("cost", ["scalar", "vector", "sparse"])
+def test_batched_backup_matches_per_row_reference(cost):
+    model = _batched_model(cost, seed={"scalar": 81, "vector": 82, "sparse": 83}[cost])
+    assert model.kernel_entries >= BATCH_MIN_ENTRIES
+    rng = np.random.default_rng(84)
+    for v in (np.zeros(20), rng.uniform(0.0, 30.0, 20), np.round(rng.uniform(0.0, 4.0, 20))):
+        for r in (0.0, 0.3, 1.0, 2.0):
+            got = _backup(model, v, r)
+            want = _reference_backup(model, v, r)
+            scale = np.maximum(1.0, np.abs(want[0]))
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * scale)
+            assert np.array_equal(got[1], want[1])
+            assert np.abs(got[2] - want[2]).max() <= 1e-12
+            policy = rng.integers(0, [len(a) for a in model.actions])
+            got = _backup(model, v, r, policy_idx=policy)
+            want = _reference_backup(model, v, r, policy_idx=policy)
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * np.maximum(1.0, np.abs(want[0])))
+            assert np.array_equal(got[1], policy)
+            assert np.abs(got[2] - want[2]).max() <= 1e-12
+            stationary = model.with_radius(r)
+            for i, worst in enumerate(build_worst_kernels(stationary, v)):
+                for a, row in enumerate(worst):
+                    want_row = _waterfill(model.kernels[i][a], v, r, TIE)[0]
+                    assert np.abs(row - want_row).max() <= 1e-12
