@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, _waterfill, _waterfill_rows, waterfill_maximize
+from .oracle import DEFAULT_TIE_TOL, _waterfill_rows, waterfill_maximize
 
 log = logging.getLogger("tvdp.finite")
-
-# S·A·n from which one batched water-fill over all kernel rows beats the
-# per-row loop (measured crossover; below it numpy's per-call cost dominates)
-BATCH_MIN_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -180,44 +176,10 @@ def _backup(model, v, radius, policy_idx=None):
     With ``policy_idx`` only that action is considered at each state, which
     evaluates the fixed policy.
 
-    Models with at least ``BATCH_MIN_ENTRIES`` kernel entries (S·A·n) are
-    water-filled in one batch over all rows (:func:`oracle._waterfill_rows`);
-    their values may differ from the per-row kernel's in the last bits, and
-    the actions follow the same tie rule.
+    The rows taking part (all S·A of them, or the S of the fixed policy) are
+    stacked and water-filled in one call to :func:`oracle._waterfill_rows`,
+    which picks its per-row loop or its vectorized pass from their size.
     """
-    if model.kernel_entries >= BATCH_MIN_ENTRIES:
-        return _backup_rows(model, v, radius, policy_idx)
-    n = model.n_states
-    base = model.discount * v
-    values = np.empty(n)
-    idx = np.empty(n, dtype=np.intp)
-    rows_out = np.empty((n, n))
-    for i in range(n):
-        rows = model.kernels[i]
-        f = model.cost_scalar[i]
-        cv = model.cost_vector[i]
-        actions = range(rows.shape[0]) if policy_idx is None else (policy_idx[i],)
-        vals, nus = [], []
-        for a in actions:
-            payoff = base if cv is None else cv[a] + base
-            nu, wf_value, _, _ = _waterfill(rows[a], payoff, radius, DEFAULT_TIE_TOL)
-            vals.append(f[a] + wf_value)
-            nus.append(nu)
-        best = min(vals)
-        k = vals.index(best)
-        if k:
-            cut = best + DEFAULT_TIE_TOL * max(1.0, abs(best))
-            k = 0
-            while vals[k] > cut:
-                k += 1
-        values[i] = best
-        idx[i] = actions[k]
-        rows_out[i, :] = nus[k]
-    return values, idx, rows_out
-
-
-def _backup_rows(model, v, radius, policy_idx):
-    """:func:`_backup` with one batched water-fill over the stacked rows."""
     st = model.row_stack
     if policy_idx is None:
         kernels, f, cv = st.kernels, st.cost_scalar, st.cost_vector

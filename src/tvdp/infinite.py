@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite import BATCH_MIN_ENTRIES, _backup
+from .finite import _backup
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, _waterfill, _waterfill_rows, partition_levels
+from .oracle import DEFAULT_TIE_TOL, _waterfill_rows, partition_levels
 
 log = logging.getLogger("tvdp.infinite")
 
@@ -159,8 +159,9 @@ def build_worst_kernels(model, reference_values, radius=None):
     """Maximizing kernel row per (state, action) against a state ordering.
 
     Only the ordering (level partition) of ``reference_values`` matters: each
-    nominal row is water-filled toward the high-value states, in one batch
-    under the size rule of :func:`finite._backup`. Returns one
+    nominal row is water-filled toward the high-value states. All S·A rows
+    go to :func:`oracle._waterfill_rows` in one call, which picks its
+    per-row loop or its vectorized pass from their size. Returns one
     (n_actions, n_states) array per state.
     """
     _require_stationary(model)
@@ -168,20 +169,11 @@ def build_worst_kernels(model, reference_values, radius=None):
     if ref.shape != (model.n_states,) or not np.all(np.isfinite(ref)):
         raise ModelError("reference_values must be a finite vector over the states")
     r = model.scalar_radius() if radius is None else _check_radius(radius)
-    if model.kernel_entries >= BATCH_MIN_ENTRIES:
-        st = model.row_stack
-        nus, _ = _waterfill_rows(
-            st.kernels, np.broadcast_to(ref, st.kernels.shape), r, DEFAULT_TIE_TOL
-        )
-        return tuple(np.split(nus, st.starts[1:]))
-    out = []
-    for i in range(model.n_states):
-        rows = model.kernels[i]
-        worst = np.empty_like(rows)
-        for a in range(rows.shape[0]):
-            worst[a], _, _, _ = _waterfill(rows[a], ref, r, DEFAULT_TIE_TOL)
-        out.append(worst)
-    return tuple(out)
+    st = model.row_stack
+    nus, _ = _waterfill_rows(
+        st.kernels, np.broadcast_to(ref, st.kernels.shape), r, DEFAULT_TIE_TOL
+    )
+    return tuple(np.split(nus, st.starts[1:]))
 
 
 def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=1000):

@@ -98,11 +98,6 @@ class RobustMdpModel:
         return any(cv is not None for cv in self.cost_vector)
 
     @cached_property
-    def kernel_entries(self):
-        """Entries of all nominal kernel rows together, S·A·n."""
-        return sum(rows.size for rows in self.kernels)
-
-    @cached_property
     def row_stack(self):
         """The model's rows and costs stacked once (see :class:`RowStack`)."""
         counts = np.array([rows.shape[0] for rows in self.kernels], dtype=np.intp)

@@ -20,6 +20,11 @@ import numpy as np
 
 DEFAULT_TIE_TOL = 1e-9
 
+# entries (rows times row length) from which one vectorized pass over all the
+# rows of a call beats the per-row loop; below it numpy's per-call cost
+# dominates (measured crossover)
+BATCH_MIN_ENTRIES = 64
+
 __all__ = [
     "DEFAULT_TIE_TOL",
     "SupportPartition",
@@ -118,13 +123,13 @@ def partition_levels(levels, tie_tol=DEFAULT_TIE_TOL):
     -------
     SupportPartition
     """
-    lv = _as_levels(levels)
+    lv = _as_levels(levels).tolist()
     order, starts = _sorted_groups(lv, _as_tie_tol(tie_tol))
     groups = []
     for g, a in enumerate(starts):
-        b = starts[g + 1] if g + 1 < len(starts) else lv.size
-        groups.append(tuple(sorted(int(i) for i in order[a:b])))
-    anchors = [float(lv[order[a]]) for a in starts]
+        b = starts[g + 1] if g + 1 < len(starts) else len(lv)
+        groups.append(tuple(sorted(order[a:b])))
+    anchors = [lv[order[a]] for a in starts]
     return SupportPartition(
         sigma_max=groups[-1],
         sigma_levels=tuple(groups[:-1]),
@@ -209,16 +214,16 @@ def _as_radius(radius):
 
 
 def _sorted_groups(levels, tie_tol):
-    """Stable ascending order of ``levels`` plus start offsets of its level sets.
+    """Stable ascending order of a ``levels`` list plus start offsets of its level sets.
 
     This is the package's one tie rule: an entry joins the current set when it
     exceeds the set's anchor (its smallest member) by at most
     ``tie_tol * max(1, |anchor|)``.
     """
-    order = np.argsort(levels, kind="stable")
+    order = sorted(range(len(levels)), key=levels.__getitem__)
     starts = [0]
     anchor = levels[order[0]]
-    for k in range(1, levels.shape[0]):
+    for k in range(1, len(order)):
         lv = levels[order[k]]
         if lv - anchor > tie_tol * max(1.0, abs(anchor)):
             starts.append(k)
@@ -227,28 +232,32 @@ def _sorted_groups(levels, tie_tol):
 
 
 def _waterfill(mu, levels, radius, tie_tol):
-    """Water-fill kernel behind :func:`waterfill_maximize` and every backup.
+    """Water-fill kernel behind :func:`waterfill_maximize` and every small backup.
 
     Takes a validated, normalized ``mu``, finite ``levels`` of the same
     length, a radius in ``[0, 2]`` and a valid ``tie_tol``; the solvers call
-    it directly to skip that validation per kernel row. Returns
+    it directly to skip that validation per kernel row. The loops run on
+    Python floats, which is the same IEEE arithmetic as on numpy scalars at a
+    fraction of the cost per entry. Returns
     ``(nu, value, effective_radius, r_max)``.
     """
-    n = mu.shape[0]
+    mu = mu.tolist()
+    levels = levels.tolist()
+    n = len(mu)
     order, starts = _sorted_groups(levels, tie_tol)
 
-    nu = mu.copy()
+    nu = list(mu)
     if len(starts) == 1:
         # constant payoff: the ball cannot change the value
         value = 0.0
         for i in range(n):
             value += levels[i] * nu[i]
-        return nu, value, 0.0, 0.0
+        return np.array(nu), value, 0.0, 0.0
 
     top = starts[-1]
     mass_top = 0.0
-    for k in range(top, n):
-        mass_top += mu[order[k]]
+    for i in order[top:]:
+        mass_top += mu[i]
     r_max = 2.0 * (1.0 - mass_top)
     if r_max < 0.0:
         r_max = 0.0
@@ -257,52 +266,60 @@ def _waterfill(mu, levels, radius, tie_tol):
 
     if mass_top > 0.0:
         scale = half / mass_top
-        for k in range(top, n):
-            i = order[k]
+        for i in order[top:]:
             nu[i] = mu[i] + mu[i] * scale
     else:
         add = half / (n - top)
-        for k in range(top, n):
-            nu[order[k]] = mu[order[k]] + add
+        for i in order[top:]:
+            nu[i] = mu[i] + add
 
     budget = half
     for g in range(len(starts) - 1):
         if budget <= 0.0:
             break
-        a = starts[g]
-        b = starts[g + 1]
+        group = order[starts[g]:starts[g + 1]]
         mass = 0.0
-        for k in range(a, b):
-            mass += mu[order[k]]
+        for i in group:
+            mass += mu[i]
         take = budget if budget < mass else mass
         if take > 0.0:
             if take == mass:
-                for k in range(a, b):
-                    nu[order[k]] = 0.0
+                for i in group:
+                    nu[i] = 0.0
             else:
                 scale = take / mass
-                for k in range(a, b):
-                    i = order[k]
+                for i in group:
                     nu[i] = mu[i] - mu[i] * scale
         budget -= take
 
     value = 0.0
     for i in range(n):
         value += levels[i] * nu[i]
-    return nu, value, alpha, r_max
+    return np.array(nu), value, alpha, r_max
 
 
 def _waterfill_rows(kernels, levels, radius, tie_tol):
     """:func:`_waterfill` for every row of a stacked ``(M, n)`` kernel matrix.
 
-    ``levels`` holds each row's payoff in the same shape (a broadcast view
-    works). Rows are grouped by the tie rule of :func:`_sorted_groups` and
-    level-set masses are summed as that kernel sums them; the drain of each
-    lower set is ``clip(R/2 - mass below it, 0, its mass)`` rather than a
-    running budget, so ``nu`` and the values may differ from the per-row
-    kernel in the last bits. Returns ``(nu, values)``.
+    The one entry that fills the rows of a backup. ``levels`` holds each row's
+    payoff in the same shape (a broadcast view works). Below
+    ``BATCH_MIN_ENTRIES`` entries (``M * n``) the rows go through
+    :func:`_waterfill` one at a time, so the results are that kernel's bits.
+    From there on one vectorized pass fills them all: rows are grouped by the
+    tie rule of :func:`_sorted_groups` and level-set masses are summed as that
+    kernel sums them, but the drain of each lower set is
+    ``clip(R/2 - mass below it, 0, its mass)`` rather than a running budget,
+    so ``nu`` and the values may differ from the per-row kernel in the last
+    bits. Returns ``(nu, values)``.
     """
     m, n = kernels.shape
+    if m * n < BATCH_MIN_ENTRIES:
+        nu = np.empty((m, n))
+        values = np.empty(m)
+        for i in range(m):
+            nu[i], values[i], _, _ = _waterfill(kernels[i], levels[i], radius, tie_tol)
+        return nu, values
+
     order = np.argsort(levels, axis=1, kind="stable")
     row_base = n * np.arange(m)[:, None]
     flat = order + row_base  # flat positions of each row's entries, ascending

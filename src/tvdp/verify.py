@@ -285,8 +285,8 @@ class RolloutConfig:
     ``discount**cap * f_max / (1 - discount) <= STAT_TOL / 10``; an explicit
     cap must be at least 1. Episodes are simulated in fixed-size chunks whose
     generators spawn deterministically from the seed, so results are
-    bit-identical for a given config no matter how many worker threads run
-    the chunks.
+    bit-identical for a given config no matter how many worker threads
+    (``jobs``, at least 1) run the chunks.
     """
 
     episodes: int
@@ -321,6 +321,8 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
         raise ModelError("need at least one episode per start state")
     if config.horizon_cap is not None and config.horizon_cap < 1:
         raise ModelError(f"horizon cap must be at least 1, got {config.horizon_cap}")
+    if config.jobs < 1:
+        raise ModelError(f"jobs must be at least 1, got {config.jobs}")
     idx = model.policy_indices(policy)
     n = model.n_states
 

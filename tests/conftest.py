@@ -1,9 +1,11 @@
 """Shared fixtures and random-model builders."""
 
+import json
+
 import numpy as np
 import pytest
 
-from tvdp import load_example, parse_model
+from tvdp import example_model_text, load_example, parse_model
 
 
 @pytest.fixture
@@ -14,6 +16,14 @@ def machine():
 @pytest.fixture
 def threestate():
     return load_example("threestate")
+
+
+def stationary_machine():
+    """The machine model without a horizon, discounted: next-state costs."""
+    doc = json.loads(example_model_text("machine"))
+    del doc["horizon"], doc["terminal_cost"]
+    doc["discount"] = 0.9
+    return parse_model(doc)
 
 
 def random_model_doc(rng, max_states=3, max_actions=2, horizon=None,

@@ -11,24 +11,25 @@ the stage-0 curve that acceptance criterion 5 pins. The same LP Bellman
 operator checks that value iteration, policy iteration and every point of a
 warm-started radius sweep return its fixed points, including on a model whose
 rows put no nominal mass on the argmax set and whose values tie exactly, and
-on a model with next-state costs. The stationary cases include models on
-both sides of ``BATCH_MIN_ENTRIES``, so both backup paths are checked.
+on a model with next-state costs. The stationary cases fill rows on both
+sides of ``BATCH_MIN_ENTRIES`` in their full and in their fixed-policy
+backups, so the per-row loop and the vectorized pass are each checked.
 """
-
-import json
 
 import numpy as np
 import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from tvdp import example_model_text, load_example, parse_model  # noqa: E402
-from tvdp.finite import BATCH_MIN_ENTRIES, solve_finite  # noqa: E402
+from conftest import stationary_machine  # noqa: E402
+from tvdp import load_example, parse_model  # noqa: E402
+from tvdp.finite import solve_finite  # noqa: E402
 from tvdp.infinite import (  # noqa: E402
     policy_iteration,
     sweep_radius_infinite,
     value_iteration,
 )
+from tvdp.oracle import BATCH_MIN_ENTRIES  # noqa: E402
 
 GRID = [round(0.05 * k, 10) for k in range(41)]
 
@@ -108,14 +109,6 @@ def _sparse_tied_model(seed=28, n=6):
     })
 
 
-def _machine_stationary():
-    """The machine model without a horizon, discounted: next-state costs."""
-    doc = json.loads(example_model_text("machine"))
-    del doc["horizon"], doc["terminal_cost"]
-    doc["discount"] = 0.9
-    return parse_model(doc)
-
-
 def _assert_lp_fixed_point(model, values, radius):
     residual = np.abs(_lp_bellman(model, values, radius) - values)
     assert np.all(residual <= 1e-7 * np.maximum(1.0, np.abs(values))), (radius, residual)
@@ -155,7 +148,7 @@ def test_lp_reproduces_stage0_convex_stretch(lp_machine_curves):
     assert np.abs(stretch - (5.3125 + 0.125 * np.arange(6))).max() <= 1e-9
 
 
-STATIONARY_CASES = ["threestate", "sparse_tied", "vector_cost"]
+STATIONARY_CASES = ["threestate", "sparse_tied", "sparse_tied_8", "vector_cost"]
 
 
 def _stationary_case(name):
@@ -164,13 +157,18 @@ def _stationary_case(name):
         return load_example("threestate"), [round(0.1 * k, 10) for k in range(21)]
     if name == "sparse_tied":
         return _sparse_tied_model(), [0.0, 0.3, 0.8, 1.4, 2.0]
-    return _machine_stationary(), [round(0.25 * k, 10) for k in range(9)]
+    if name == "sparse_tied_8":
+        return _sparse_tied_model(seed=22, n=8), [0.0, 0.3, 0.8, 1.4, 2.0]
+    return stationary_machine(), [round(0.25 * k, 10) for k in range(9)]
 
 
 def test_stationary_cases_cover_both_backup_paths():
-    # the per-row loop and the batched water-fill are each LP-checked
-    sizes = [_stationary_case(name)[0].kernel_entries for name in STATIONARY_CASES]
-    assert min(sizes) < BATCH_MIN_ENTRIES <= max(sizes), sizes
+    # entries water-filled per call: all S·A rows, and the S rows of a policy
+    models = [_stationary_case(name)[0] for name in STATIONARY_CASES]
+    full = [m.row_stack.kernels.size for m in models]
+    fixed = [m.n_states ** 2 for m in models]
+    assert min(full) < BATCH_MIN_ENTRIES <= max(full), full
+    assert min(fixed) < BATCH_MIN_ENTRIES <= max(fixed), fixed
 
 
 @pytest.mark.parametrize("name", STATIONARY_CASES)
@@ -191,5 +189,5 @@ def test_stationary_solvers_are_lp_fixed_points(name):
             rows[a][top].sum() == 0.0 for rows in m.kernels for a in range(len(rows))
         )
         tied_top |= top.sum() >= 2
-    if name == "sparse_tied":
+    if name.startswith("sparse_tied"):
         assert massless_top and tied_top

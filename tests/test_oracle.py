@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model_doc, random_oracle_instance
+from conftest import random_model_doc, random_oracle_instance, stationary_machine
 from tvdp import (
     as_distribution,
+    load_example,
     oscillation,
     partition_levels,
     tv_distance,
@@ -15,9 +16,9 @@ from tvdp import (
     parse_model,
     waterfill_maximize,
 )
-from tvdp.finite import BATCH_MIN_ENTRIES, _backup
+from tvdp.finite import _backup
 from tvdp.infinite import build_worst_kernels
-from tvdp.oracle import DEFAULT_TIE_TOL, _waterfill, _waterfill_rows
+from tvdp.oracle import BATCH_MIN_ENTRIES, DEFAULT_TIE_TOL, _waterfill, _waterfill_rows
 
 # hand-derived: (mu, levels, radius) -> (maximizer, value, effective_radius, r_max)
 FROZEN_CASES = [
@@ -328,12 +329,27 @@ _CHAIN = 0.6 * TIE * np.arange(4.0)
 @example((np.array([[0.3, 0.7], [0.4, 0.6]]), np.array([[0.0, 100.0], [5.0, 1.0]]), 0.0))
 def test_waterfill_rows_matches_per_row_kernel(batch):
     kernels, levels, radius = batch
+    m = kernels.shape[0]
+    want = [_waterfill(kernels[i], levels[i], radius, TIE) for i in range(m)]
+    want_nu = np.array([w[0] for w in want])
+    want_values = np.array([w[1] for w in want])
+    # below the threshold the rows are the per-row kernel's bits
+    assert kernels.size < BATCH_MIN_ENTRIES
     nu, values = _waterfill_rows(kernels, levels, radius, TIE)
-    assert nu.shape == kernels.shape and values.shape == (kernels.shape[0],)
-    for i in range(kernels.shape[0]):
-        want_nu, want_value, _, _ = _waterfill(kernels[i], levels[i], radius, TIE)
-        assert np.abs(nu[i] - want_nu).max() <= 1e-12, i
-        assert abs(values[i] - want_value) <= 1e-12 * max(1.0, abs(want_value)), i
+    assert np.array_equal(nu, want_nu) and np.array_equal(values, want_values)
+    # the same rows repeated past it take the vectorized pass
+    reps = -(-BATCH_MIN_ENTRIES // kernels.size)
+    big_kernels = np.tile(kernels, (reps, 1))
+    if levels.strides[0] == 0:
+        big_levels = np.broadcast_to(levels[0], big_kernels.shape)
+    else:
+        big_levels = np.tile(levels, (reps, 1))
+    nu, values = _waterfill_rows(big_kernels, big_levels, radius, TIE)
+    assert nu.shape == big_kernels.shape and values.shape == (reps * m,)
+    for i in range(reps * m):
+        assert np.abs(nu[i] - want_nu[i % m]).max() <= 1e-12, i
+        scale = max(1.0, abs(want_values[i % m]))
+        assert abs(values[i] - want_values[i % m]) <= 1e-12 * scale, i
 
 
 def _reference_backup(model, v, radius, policy_idx=None):
@@ -357,43 +373,66 @@ def _reference_backup(model, v, radius, policy_idx=None):
     return np.array(values), np.array(idx), np.array(rows)
 
 
-def _batched_model(cost, seed):
-    """A seeded 20-state model with up to 4 actions per state."""
+def _batched_model(cost, seed, n=20):
+    """A seeded ``n``-state model with up to 4 actions per state."""
     rng = np.random.default_rng(seed)
-    doc = random_model_doc(rng, min_states=20, max_states=20, max_actions=4,
+    doc = random_model_doc(rng, min_states=n, max_states=n, max_actions=4,
                            vector_cost=cost == "vector", discount=0.8, radius=0.5)
     if cost == "sparse":
         # three nonzeros per row and integer costs: massless tops and ties
         for s, acts in doc["kernel"].items():
             for a in acts:
-                row = np.zeros(20)
-                row[rng.choice(20, size=3, replace=False)] = rng.dirichlet(np.ones(3))
+                row = np.zeros(n)
+                row[rng.choice(n, size=3, replace=False)] = rng.dirichlet(np.ones(3))
                 acts[a] = [float(x) for x in row]
                 doc["cost"][s][a] = float(rng.integers(0, 4))
     return parse_model(doc)
 
 
-@pytest.mark.parametrize("cost", ["scalar", "vector", "sparse"])
-def test_batched_backup_matches_per_row_reference(cost):
-    model = _batched_model(cost, seed={"scalar": 81, "vector": 82, "sparse": 83}[cost])
-    assert model.kernel_entries >= BATCH_MIN_ENTRIES
+# case -> (model, whether the full and the fixed-policy backups reach the
+# vectorized pass); "straddle" has S·A·n >= 64 > S·n
+BACKUP_CASES = {
+    "scalar": (lambda: _batched_model("scalar", 81), (True, True)),
+    "vector": (lambda: _batched_model("vector", 82), (True, True)),
+    "sparse": (lambda: _batched_model("sparse", 83), (True, True)),
+    "threestate": (lambda: load_example("threestate"), (False, False)),
+    "machine": (stationary_machine, (False, False)),
+    "straddle": (lambda: _batched_model("vector", 85, n=6), (True, False)),
+}
+
+
+def _assert_agree(got, want, exact):
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("case", sorted(BACKUP_CASES))
+def test_batched_backup_matches_per_row_reference(case):
+    build, batched = BACKUP_CASES[case]
+    model = build()
+    n = model.n_states
+    # entries water-filled per call: every (state, action) row, or one per state
+    per_call = (model.row_stack.kernels.size, n * n)
+    assert tuple(e >= BATCH_MIN_ENTRIES for e in per_call) == batched, per_call
+    full_exact, fixed_exact = (not b for b in batched)
     rng = np.random.default_rng(84)
-    for v in (np.zeros(20), rng.uniform(0.0, 30.0, 20), np.round(rng.uniform(0.0, 4.0, 20))):
+    for v in (np.zeros(n), rng.uniform(0.0, 30.0, n), np.round(rng.uniform(0.0, 4.0, n))):
         for r in (0.0, 0.3, 1.0, 2.0):
             got = _backup(model, v, r)
             want = _reference_backup(model, v, r)
-            scale = np.maximum(1.0, np.abs(want[0]))
-            assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * scale)
+            _assert_agree(got[0], want[0], full_exact)
             assert np.array_equal(got[1], want[1])
-            assert np.abs(got[2] - want[2]).max() <= 1e-12
+            _assert_agree(got[2], want[2], full_exact)
             policy = rng.integers(0, [len(a) for a in model.actions])
             got = _backup(model, v, r, policy_idx=policy)
             want = _reference_backup(model, v, r, policy_idx=policy)
-            assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * np.maximum(1.0, np.abs(want[0])))
+            _assert_agree(got[0], want[0], fixed_exact)
             assert np.array_equal(got[1], policy)
-            assert np.abs(got[2] - want[2]).max() <= 1e-12
+            _assert_agree(got[2], want[2], fixed_exact)
             stationary = model.with_radius(r)
             for i, worst in enumerate(build_worst_kernels(stationary, v)):
                 for a, row in enumerate(worst):
                     want_row = _waterfill(model.kernels[i][a], v, r, TIE)[0]
-                    assert np.abs(row - want_row).max() <= 1e-12
+                    _assert_agree(row, want_row, full_exact)

@@ -251,6 +251,9 @@ def test_rollout_error_paths(threestate, machine):
     for cap in (0, -3):
         with pytest.raises(ModelError):
             monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=10, horizon_cap=cap))
+    for jobs in (0, -4):
+        with pytest.raises(ModelError):
+            monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=10, jobs=jobs))
 
 
 def test_fuzz_report_shape_and_pass():
