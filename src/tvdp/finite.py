@@ -176,25 +176,35 @@ def _backup(model, v, radius, policy_idx=None):
     With ``policy_idx`` only that action is considered at each state, which
     evaluates the fixed policy.
 
-    The rows taking part (all S·A of them, or the S of the fixed policy) are
-    stacked and water-filled in one call to :func:`oracle._waterfill_rows`,
+    The rows taking part (all S·A rows of the model, or the S a fixed policy
+    picks) are water-filled in one call to :func:`oracle._waterfill_rows`,
     which picks its per-row loop or its vectorized pass from their size.
     """
-    st = model.row_stack
     if policy_idx is None:
-        kernels, f, cv = st.kernels, st.cost_scalar, st.cost_vector
+        kernels, f, cv = model.kernels, model.cost_scalar, model.cost_vector
     else:
-        pick = st.starts + policy_idx
-        kernels, f = st.kernels[pick], st.cost_scalar[pick]
-        cv = None if st.cost_vector is None else st.cost_vector[pick]
+        pick = model.starts + policy_idx
+        kernels, f = model.kernels[pick], model.cost_scalar[pick]
+        cv = None if model.cost_vector is None else model.cost_vector[pick]
     base = model.discount * v
     payoff = np.broadcast_to(base, kernels.shape) if cv is None else cv + base
     nus, wf_values = _waterfill_rows(kernels, payoff, radius, DEFAULT_TIE_TOL)
     q = f + wf_values
     if policy_idx is not None:
         return q, np.array(policy_idx, dtype=np.intp), nus
-    best = np.minimum.reduceat(q, st.starts)
-    cut = best + DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
-    within = q <= np.repeat(cut, st.counts)
-    first = np.minimum.reduceat(np.where(within, np.arange(q.size), q.size), st.starts)
-    return best, first - st.starts, nus[first]
+    best, first = _argmin_rows(model, q, DEFAULT_TIE_TOL)
+    return best, first - model.starts, nus[first]
+
+
+def _argmin_rows(model, q, tol):
+    """Per-state minimum of the row values ``q`` and the row that attains it.
+
+    The row is the first of the state's rows whose value lies within
+    ``tol * max(1, |minimum|)`` of the minimum (with ``tol = 0``, the first
+    exact minimum). Returns ``(best, first)`` with ``first`` a row index.
+    """
+    best = np.minimum.reduceat(q, model.starts)
+    cut = best + tol * np.maximum(1.0, np.abs(best))
+    within = q <= np.repeat(cut, model.counts)
+    first = np.minimum.reduceat(np.where(within, np.arange(q.size), q.size), model.starts)
+    return best, first

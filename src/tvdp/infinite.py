@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite import _backup
+from .finite import _argmin_rows, _backup
 from .model import ModelError, SolutionRecord, SweepPoint
 from .oracle import DEFAULT_TIE_TOL, _waterfill_rows, partition_levels
 
@@ -63,7 +63,8 @@ class PolicyIterationStep:
     """Snapshot of one policy-iteration round (0 is the initialization).
 
     ``paper`` mode records the nominal values' level partition and the frozen
-    worst rows per state and action; ``fixed_point`` mode records no partition
+    worst rows of every (state, action), the ``(M, n)`` array of
+    :func:`build_worst_kernels`; ``fixed_point`` mode records no partition
     and the adversary's (n_states, n_states) rows under the step's policy.
     """
 
@@ -151,8 +152,7 @@ def policy_evaluation_nominal(model, policy):
     """
     _require_stationary(model)
     idx = model.policy_indices(policy)
-    rows, costs = _policy_system(model, idx, [model.kernels[i][a] for i, a in enumerate(idx)])
-    return _solve_linear(model.discount, rows, costs)
+    return _solve_linear(model, idx, model.kernels[model.starts + idx])
 
 
 def build_worst_kernels(model, reference_values, radius=None):
@@ -161,19 +161,17 @@ def build_worst_kernels(model, reference_values, radius=None):
     Only the ordering (level partition) of ``reference_values`` matters: each
     nominal row is water-filled toward the high-value states. All S·A rows
     go to :func:`oracle._waterfill_rows` in one call, which picks its
-    per-row loop or its vectorized pass from their size. Returns one
-    (n_actions, n_states) array per state.
+    per-row loop or its vectorized pass from their size. Returns the
+    ``(M, n)`` array whose row ``model.starts[i] + a`` is the maximizing row
+    for action ``a`` at state ``i``, laid out as ``model.kernels``.
     """
     _require_stationary(model)
     ref = np.asarray(reference_values, dtype=np.float64)
     if ref.shape != (model.n_states,) or not np.all(np.isfinite(ref)):
         raise ModelError("reference_values must be a finite vector over the states")
     r = model.scalar_radius() if radius is None else _check_radius(radius)
-    st = model.row_stack
-    nus, _ = _waterfill_rows(
-        st.kernels, np.broadcast_to(ref, st.kernels.shape), r, DEFAULT_TIE_TOL
-    )
-    return tuple(np.split(nus, st.starts[1:]))
+    kernels = model.kernels
+    return _waterfill_rows(kernels, np.broadcast_to(ref, kernels.shape), r, DEFAULT_TIE_TOL)[0]
 
 
 def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=1000):
@@ -249,7 +247,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         check, idx, rows = _backup(model, robust, r)
     if mode == "paper":
         idx = g
-        rows = np.array([worst[i][a] for i, a in enumerate(g)])
+        rows = worst[model.starts + g]
     residual = float(np.abs(check - robust).max())
     scale = max(1.0, float(np.abs(robust).max()))
     if converged and residual > 1e-8 * scale:
@@ -339,22 +337,17 @@ def _check_radius(radius):
     return r
 
 
-def _policy_system(model, idx, kernel_rows):
-    """Stack policy kernel rows and fold vector costs into stage costs."""
-    n = model.n_states
-    rows = np.empty((n, n))
-    costs = np.empty(n)
-    for i, a in enumerate(idx):
-        rows[i, :] = kernel_rows[i]
-        costs[i] = model.cost_scalar[i][a]
-        if model.cost_vector[i] is not None:
-            costs[i] += float(rows[i] @ model.cost_vector[i][a])
-    return rows, costs
+def _solve_linear(model, idx, rows):
+    """Values of policy ``idx`` whose transitions are ``rows`` (one per state).
 
-
-def _solve_linear(alpha, rows, costs):
-    n = rows.shape[0]
-    return np.linalg.solve(np.eye(n) - alpha * rows, costs)
+    Solves ``(I - a rows) V = f + rows·c``: vector costs enter through their
+    expectation under ``rows``, each dot summed as ``rows[i] @ c`` sums it.
+    """
+    pick = model.starts + idx
+    costs = model.cost_scalar[pick]
+    if model.cost_vector is not None:
+        costs = costs + (rows[:, None, :] @ model.cost_vector[pick][:, :, None])[:, 0, 0]
+    return np.linalg.solve(np.eye(rows.shape[0]) - model.discount * rows, costs)
 
 
 def _pi_evaluate(model, idx, mode, radius):
@@ -364,8 +357,7 @@ def _pi_evaluate(model, idx, mode, radius):
     if mode == "paper":
         part = partition_levels(nominal)
         worst = build_worst_kernels(model, nominal)
-        frozen = [worst[i][a] for i, a in enumerate(idx)]
-        robust = _solve_linear(model.discount, *_policy_system(model, idx, frozen))
+        robust = _solve_linear(model, idx, worst[model.starts + idx])
         return nominal, part, worst, robust
     robust, rows = _evaluate_adversary(model, idx, nominal, radius)
     return nominal, None, rows, robust
@@ -383,7 +375,7 @@ def _evaluate_adversary(model, idx, v, radius):
     """
     rows = _backup(model, v, radius, policy_idx=idx)[2]
     for _ in range(ADVERSARY_MAX_ROUNDS):
-        v = _solve_linear(model.discount, *_policy_system(model, idx, rows))
+        v = _solve_linear(model, idx, rows)
         raised, _, new_rows = _backup(model, v, radius, policy_idx=idx)
         if (raised - v).max() <= EVALUATION_TOL * max(1.0, float(np.abs(v).max())):
             return v, rows
@@ -395,13 +387,10 @@ def _evaluate_adversary(model, idx, v, radius):
 
 
 def _improve(model, g, worst, robust):
-    """Greedy improvement against frozen kernels; incumbent wins near-ties."""
-    alpha = model.discount
-    g_new = g.copy()
-    for i in range(model.n_states):
-        f = model.cost_scalar[i]
-        q = f + alpha * (worst[i] @ robust)
-        best_a = int(np.argmin(q))
-        if q[best_a] < robust[i] - IMPROVE_TOL and best_a != g[i]:
-            g_new[i] = best_a
-    return g_new
+    """Greedy improvement against frozen kernels; incumbent wins near-ties.
+
+    The challenger at each state is its first exactly minimal action.
+    """
+    q = model.cost_scalar + model.discount * (worst @ robust)
+    best, first = _argmin_rows(model, q, 0.0)
+    return np.where(best < robust - IMPROVE_TOL, first - model.starts, g)

@@ -18,6 +18,12 @@ Stage costs may be scalars ``f(x, u)`` or per-next-state vectors
 at most 1e-6 and rejected beyond that. An optional ``"initial"`` distribution
 supports the initial-ambiguity post-processing step in :mod:`tvdp.finite`.
 
+A parsed model keeps one row per (state, action) pair, states in order and
+each state's actions in declared order: the nominal kernel is one ``(M, n)``
+matrix, and the costs follow the same rows (see :class:`RobustMdpModel`).
+Every solver reads these rows directly; a policy picks row ``starts[i] + a``
+at state ``i``.
+
 All writers here are deterministic: sorted JSON keys, floats at 12
 significant digits, LF line endings. Serializing a parsed document a second
 time is byte-identical.
@@ -28,7 +34,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -48,37 +53,27 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class RowStack:
-    """Every (state, action) of a model as one row, states in order.
+class RobustMdpModel:
+    """A finite MDP with a TV ambiguity ball around its nominal kernel.
 
-    ``kernels`` is the ``(M, n)`` matrix of nominal rows with ``M`` the number
-    of (state, action) pairs; ``cost_scalar`` and ``cost_vector`` (``None``
-    without next-state costs, zeros for rows that have none) follow the same
-    rows. The rows of state ``i`` start at ``starts[i]``, ``counts[i]`` of them.
+    States and actions are kept as labels; everything numeric is indexed by
+    (state, action) row, states in order and each state's actions in declared
+    order. State ``i`` owns ``counts[i]`` rows from ``starts[i]`` on, so row
+    ``starts[i] + a`` of the ``(M, n)`` matrix ``kernels`` is the nominal
+    ``Q(.|x_i, u_a)``, with ``M`` the number of (state, action) pairs.
+    ``cost_scalar`` (``(M,)``) and ``cost_vector`` (``(M, n)``) follow the same
+    rows and split each stage cost into its ``f(x, u)`` and ``c(x, u, z)``
+    parts; ``cost_vector`` is ``None`` when no pair has next-state costs and
+    holds zero rows for the pairs without them otherwise.
     """
 
+    states: tuple
+    actions: tuple
     kernels: np.ndarray
     cost_scalar: np.ndarray
     cost_vector: object
     starts: np.ndarray
     counts: np.ndarray
-
-
-@dataclass(frozen=True)
-class RobustMdpModel:
-    """A finite MDP with a TV ambiguity ball around its nominal kernel.
-
-    States and actions are kept as labels; everything numeric is indexed.
-    ``kernels[i]`` stacks the nominal rows ``Q(.|x_i, u)`` for the actions of
-    state ``i``; ``cost_scalar[i]`` and ``cost_vector[i]`` split each stage
-    cost into its ``f(x, u)`` part and optional ``c(x, u, z)`` part.
-    """
-
-    states: tuple
-    actions: tuple
-    kernels: tuple
-    cost_scalar: tuple
-    cost_vector: tuple
     discount: float
     radius: object
     horizon: object
@@ -95,25 +90,7 @@ class RobustMdpModel:
 
     @property
     def has_vector_cost(self):
-        return any(cv is not None for cv in self.cost_vector)
-
-    @cached_property
-    def row_stack(self):
-        """The model's rows and costs stacked once (see :class:`RowStack`)."""
-        counts = np.array([rows.shape[0] for rows in self.kernels], dtype=np.intp)
-        cost_vector = None
-        if self.has_vector_cost:
-            cost_vector = np.concatenate([
-                np.zeros_like(rows) if cv is None else cv
-                for rows, cv in zip(self.kernels, self.cost_vector)
-            ])
-        return RowStack(
-            kernels=np.concatenate(self.kernels),
-            cost_scalar=np.concatenate(self.cost_scalar),
-            cost_vector=cost_vector,
-            starts=np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp),
-            counts=counts,
-        )
+        return self.cost_vector is not None
 
     def scalar_radius(self):
         """The single radius of a stationary model (or a broadcast scalar)."""
@@ -175,23 +152,21 @@ class RobustMdpModel:
 
     def transition_cost_matrix(self, policy_idx):
         """Total per-transition cost ``f(x, g(x)) + c(x, g(x), z)`` as (n, n)."""
-        n = self.n_states
-        mat = np.zeros((n, n))
-        for i, a in enumerate(policy_idx):
-            mat[i, :] = self.cost_scalar[i][a]
-            if self.cost_vector[i] is not None:
-                mat[i, :] += self.cost_vector[i][a]
+        idx = np.asarray(policy_idx)
+        # an index past a state's actions would read the next state's row
+        if idx.shape != self.counts.shape or np.any((idx < 0) | (idx >= self.counts)):
+            raise ModelError("policy indices must give one valid action per state")
+        pick = self.starts + idx
+        mat = np.repeat(self.cost_scalar[pick, None], self.n_states, axis=1)
+        if self.cost_vector is not None:
+            mat += self.cost_vector[pick]
         return mat
 
     def max_stage_cost(self):
         """Largest per-transition stage cost appearing anywhere in the model."""
-        worst = 0.0
-        for i in range(self.n_states):
-            top = float(self.cost_scalar[i].max())
-            if self.cost_vector[i] is not None:
-                top = float((self.cost_scalar[i][:, None] + self.cost_vector[i]).max())
-            worst = max(worst, top)
-        return worst
+        if self.cost_vector is None:
+            return float(self.cost_scalar.max())
+        return float((self.cost_scalar[:, None] + self.cost_vector).max())
 
 
 def parse_model(source):
@@ -229,12 +204,10 @@ def parse_model(source):
         actions.append(_parse_labels(acts, f"actions[{s!r}]"))
     _reject_extra_states(doc["actions"], states, "actions")
 
-    kernels, cost_scalar, cost_vector = [], [], []
+    rows, f_sc, f_vec = [], [], []
     for i, s in enumerate(states):
         krows = _lookup(doc["kernel"], s, "kernel")
         crows = _lookup(doc["cost"], s, "cost")
-        rows, f_sc, f_vec = [], [], []
-        any_vec = False
         for a in actions[i]:
             row = _lookup(krows, a, f"kernel[{s!r}]")
             try:
@@ -246,22 +219,15 @@ def parse_model(source):
                     f"kernel[{s!r}][{a!r}] has {dist.size} entries for {n} states"
                 )
             rows.append(dist)
-            cval = _lookup(crows, a, f"cost[{s!r}]")
-            sc, vec = _parse_cost(cval, n, s, a)
+            sc, vec = _parse_cost(_lookup(crows, a, f"cost[{s!r}]"), n, s, a)
             f_sc.append(sc)
             f_vec.append(vec)
-            any_vec = any_vec or vec is not None
         _reject_extra_actions(krows, actions[i], f"kernel[{s!r}]")
         _reject_extra_actions(crows, actions[i], f"cost[{s!r}]")
-        kernels.append(np.array(rows))
-        cost_scalar.append(np.array(f_sc))
-        if any_vec:
-            stacked = np.array([
-                vec if vec is not None else np.zeros(n) for vec in f_vec
-            ])
-            cost_vector.append(stacked)
-        else:
-            cost_vector.append(None)
+    cost_vector = None
+    if any(vec is not None for vec in f_vec):
+        cost_vector = np.array([np.zeros(n) if vec is None else vec for vec in f_vec])
+    counts = np.array([len(acts) for acts in actions], dtype=np.intp)
 
     terminal = doc.get("terminal_cost")
     if terminal is None:
@@ -281,9 +247,11 @@ def parse_model(source):
     return RobustMdpModel(
         states=states,
         actions=tuple(actions),
-        kernels=tuple(kernels),
-        cost_scalar=tuple(cost_scalar),
-        cost_vector=tuple(cost_vector),
+        kernels=np.array(rows),
+        cost_scalar=np.array(f_sc),
+        cost_vector=cost_vector,
+        starts=np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp),
+        counts=counts,
         discount=discount,
         radius=radius,
         horizon=horizon,

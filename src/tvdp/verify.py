@@ -24,6 +24,8 @@ log = logging.getLogger("tvdp.verify")
 OPTIMALITY_TOL = 1e-9
 # target for the truncation bias of an automatically capped rollout
 STAT_TOL = 1e-5
+# episodes per rollout chunk, each chunk with its own spawned generator
+CHUNK_SIZE = 16384
 FEASIBILITY_TOL = 1e-12
 GRID_STEPS = 200
 
@@ -233,12 +235,12 @@ def markov_sufficiency_check(model, atol=1e-9, budget=2**17):
         key = (j, x, a, child_vals)
         out = memo.get(key)
         if out is None:
-            cv = model.cost_vector[x]
+            row = model.starts[x] + a
             payoff = alpha * np.asarray(child_vals)
-            if cv is not None:
-                payoff = cv[a] + payoff
-            res = waterfill_maximize(model.kernels[x][a], payoff, radii[j + 1])
-            out = float(model.cost_scalar[x][a]) + res.value
+            if model.cost_vector is not None:
+                payoff = model.cost_vector[row] + payoff
+            res = waterfill_maximize(model.kernels[row], payoff, radii[j + 1])
+            out = float(model.cost_scalar[row]) + res.value
             memo[key] = out
         return out
 
@@ -283,17 +285,17 @@ class RolloutConfig:
 
     ``horizon_cap=None`` derives the smallest cap with truncation bias
     ``discount**cap * f_max / (1 - discount) <= STAT_TOL / 10``; an explicit
-    cap must be at least 1. Episodes are simulated in fixed-size chunks whose
-    generators spawn deterministically from the seed, so results are
-    bit-identical for a given config no matter how many worker threads
-    (``jobs``, at least 1) run the chunks.
+    cap must be at least 1. ``kernel_choice`` is "nominal" or "worst".
+    Episodes are simulated in chunks of ``CHUNK_SIZE`` whose generators spawn
+    deterministically from the seed, so results are bit-identical for a given
+    config no matter how many worker threads (``jobs``, at least 1) run the
+    chunks.
     """
 
     episodes: int
     horizon_cap: object = None
     seed: int = 0
     kernel_choice: str = "nominal"
-    chunk_size: int = 16384
     jobs: int = 1
 
 
@@ -311,9 +313,9 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
     """Estimate discounted policy cost from every start state by simulation.
 
     ``kernels`` supplies the (n, n) transition matrix under the policy when
-    ``config.kernel_choice`` is "worst" or "custom" (for "worst", pass a
-    solved StationarySolution's ``worst_kernel_matrix``); the nominal matrix
-    is assembled from the model otherwise.
+    ``config.kernel_choice`` is "worst" (a solved StationarySolution's
+    ``worst_kernel_matrix``, or the adversary's rows against the policy); the
+    nominal matrix is the model's rows under the policy otherwise.
     """
     if model.is_finite:
         raise ModelError("monte_carlo_rollout needs a stationary model")
@@ -327,12 +329,12 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
     n = model.n_states
 
     if config.kernel_choice == "nominal":
-        mat = np.array([model.kernels[i][a] for i, a in enumerate(idx)])
-    elif config.kernel_choice in ("worst", "custom"):
+        mat = model.kernels[model.starts + idx]
+    elif config.kernel_choice == "worst":
         if kernels is None:
             raise ModelError(
-                f"kernel_choice={config.kernel_choice!r} requested but no kernel "
-                "matrix provided; solve the model first"
+                "kernel_choice='worst' requested but no kernel matrix provided; "
+                "solve the model first"
             )
         mat = np.asarray(kernels, dtype=np.float64)
         if mat.shape != (n, n):
@@ -348,12 +350,9 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
     cum = mat.cumsum(axis=1)
     cum[:, -1] = 1.0
 
-    n_chunks = -(-config.episodes // config.chunk_size)
+    n_chunks = -(-config.episodes // CHUNK_SIZE)
     seeds = np.random.SeedSequence(config.seed).spawn(n_chunks)
-    sizes = [
-        min(config.chunk_size, config.episodes - c * config.chunk_size)
-        for c in range(n_chunks)
-    ]
+    sizes = [min(CHUNK_SIZE, config.episodes - c * CHUNK_SIZE) for c in range(n_chunks)]
 
     def run_chunk(args):
         seq, n_eps = args

@@ -48,10 +48,11 @@ def _classical_finite(model):
         for i in range(model.n_states):
             best = np.inf
             for a in range(len(model.actions[i])):
+                row = model.starts[i] + a
                 payoff = model.discount * v
-                if model.cost_vector[i] is not None:
-                    payoff = model.cost_vector[i][a] + payoff
-                best = min(best, model.cost_scalar[i][a] + model.kernels[i][a] @ payoff)
+                if model.cost_vector is not None:
+                    payoff = model.cost_vector[row] + payoff
+                best = min(best, model.cost_scalar[row] + model.kernels[row] @ payoff)
             new[i] = best
         v = new
         per_stage.append(v.copy())
@@ -67,10 +68,11 @@ def _classical_vi_steps(model, steps):
         for i in range(model.n_states):
             best = np.inf
             for a in range(len(model.actions[i])):
+                row = model.starts[i] + a
                 payoff = model.discount * v
-                if model.cost_vector[i] is not None:
-                    payoff = model.cost_vector[i][a] + payoff
-                best = min(best, model.cost_scalar[i][a] + model.kernels[i][a] @ payoff)
+                if model.cost_vector is not None:
+                    payoff = model.cost_vector[row] + payoff
+                best = min(best, model.cost_scalar[row] + model.kernels[row] @ payoff)
             new[i] = best
         v = new
     return v

@@ -99,6 +99,28 @@ def test_policy_evaluation_zero_cost_and_small_discount(threestate):
     assert np.allclose(got, (2.0, 1.0, 3.0), atol=1e-9)
 
 
+def test_policy_evaluation_nominal_vector_costs_bitwise():
+    # next-state costs enter as f + P[i] @ c_i, each dot summed as that one is
+    rng = np.random.default_rng(37)
+    checked = 0
+    for _ in range(20):
+        model = random_model(rng, min_states=4, max_states=12, max_actions=3,
+                             vector_cost=True)
+        if not model.has_vector_cost:
+            continue
+        n = model.n_states
+        idx = rng.integers(0, model.counts)
+        rows = model.starts + idx
+        P = np.array([model.kernels[r] for r in rows])
+        costs = np.empty(n)
+        for i, r in enumerate(rows):
+            costs[i] = model.cost_scalar[r] + P[i] @ model.cost_vector[r]
+        want = np.linalg.solve(np.eye(n) - model.discount * P, costs)
+        assert np.array_equal(policy_evaluation_nominal(model, idx), want)
+        checked += 1
+    assert checked >= 15
+
+
 def test_apply_bellman_zero_values(threestate):
     values, policy = apply_bellman(threestate, np.zeros(3))
     assert np.allclose(values, (0.5, 1.0, 0.0), atol=1e-15)
@@ -127,7 +149,7 @@ def test_value_iteration_example(threestate):
     # the returned worst kernels stay inside the ball of the acted rows
     for i in range(3):
         a = sol.policy_idx[i]
-        row = threestate.kernels[i][a]
+        row = threestate.kernels[threestate.starts[i] + a]
         assert tv_distance(sol.worst_kernel_matrix[i], row) <= 2.0 / 3.0 + 1e-12
 
 
@@ -222,15 +244,15 @@ def test_build_worst_kernels_exact_ninths(threestate):
     worst = build_worst_kernels(threestate, ref)
     q1 = np.array([[3, 4, 2], [4, 5, 0], [0, 9, 0]]) / 9.0
     q2 = np.array([[1, 5, 3], [4, 5, 0], [4, 4, 1]]) / 9.0
+    assert worst.shape == (6, 3)
     for i in range(3):
-        assert np.allclose(worst[i][0], q1[i], atol=1e-12)
-        assert np.allclose(worst[i][1], q2[i], atol=1e-12)
+        assert np.allclose(worst[2 * i], q1[i], atol=1e-12)
+        assert np.allclose(worst[2 * i + 1], q2[i], atol=1e-12)
 
 
 def test_build_worst_kernels_radius_zero_is_nominal(threestate):
     worst = build_worst_kernels(threestate, np.array([1.0, 2.0, 3.0]), radius=0.0)
-    for i in range(3):
-        assert np.array_equal(worst[i], threestate.kernels[i])
+    assert np.array_equal(worst, threestate.kernels)
 
 
 def test_policy_iteration_paper_mode_trace(threestate):
@@ -379,10 +401,11 @@ def test_sweep_radius_infinite_is_path_independent():
         for i in range(model.n_states):
             q = []
             for a in range(len(model.actions[i])):
+                row = model.starts[i] + a
                 res = waterfill_maximize(
-                    model.kernels[i][a], model.discount * point.values, point.radius
+                    model.kernels[row], model.discount * point.values, point.radius
                 )
-                q.append(model.cost_scalar[i][a] + res.value)
+                q.append(model.cost_scalar[row] + res.value)
                 saturated += res.r_max <= point.radius
             q = np.array(q)
             within = q <= q.min() + DEFAULT_TIE_TOL * max(1.0, abs(q.min()))

@@ -60,11 +60,12 @@ def _lp_bellman(model, v, radius):
     for i in range(model.n_states):
         best = np.inf
         for a in range(len(model.actions[i])):
+            row = model.starts[i] + a
             payoff = model.discount * v
-            if model.cost_vector[i] is not None:
-                payoff = model.cost_vector[i][a] + payoff
-            worst = _lp_ball_max(model.kernels[i][a], payoff, radius)
-            best = min(best, model.cost_scalar[i][a] + worst)
+            if model.cost_vector is not None:
+                payoff = model.cost_vector[row] + payoff
+            worst = _lp_ball_max(model.kernels[row], payoff, radius)
+            best = min(best, model.cost_scalar[row] + worst)
         new[i] = best
     return new
 
@@ -165,7 +166,7 @@ def _stationary_case(name):
 def test_stationary_cases_cover_both_backup_paths():
     # entries water-filled per call: all S·A rows, and the S rows of a policy
     models = [_stationary_case(name)[0] for name in STATIONARY_CASES]
-    full = [m.row_stack.kernels.size for m in models]
+    full = [m.kernels.size for m in models]
     fixed = [m.n_states ** 2 for m in models]
     assert min(full) < BATCH_MIN_ENTRIES <= max(full), full
     assert min(fixed) < BATCH_MIN_ENTRIES <= max(fixed), fixed
@@ -185,9 +186,7 @@ def test_stationary_solvers_are_lp_fixed_points(name):
         _assert_lp_fixed_point(m, pi.values, r)
         _assert_lp_fixed_point(m, point.values, r)
         top = pi.values >= pi.values.max()
-        massless_top |= any(
-            rows[a][top].sum() == 0.0 for rows in m.kernels for a in range(len(rows))
-        )
+        massless_top |= bool((m.kernels[:, top].sum(axis=1) == 0.0).any())
         tied_top |= top.sum() >= 2
     if name.startswith("sparse_tied"):
         assert massless_top and tied_top

@@ -36,16 +36,75 @@ def test_bundled_examples_parse(machine, threestate):
     assert not threestate.has_vector_cost
     assert threestate.discount == 0.9
     assert abs(threestate.scalar_radius() - 2.0 / 3.0) <= 1e-15
-    for i in range(3):
-        assert threestate.kernels[i].shape == (2, 3)
-        assert np.allclose(threestate.kernels[i].sum(axis=1), 1.0, atol=1e-12)
+    assert threestate.kernels.shape == (6, 3)
+    assert np.array_equal(threestate.starts, [0, 2, 4])
+    assert np.array_equal(threestate.counts, [2, 2, 2])
+    assert np.allclose(threestate.kernels.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_kernel_row_renormalized_within_tolerance():
     doc = random_model_doc(np.random.default_rng(0), max_states=2, horizon=2)
     doc["kernel"]["s0"]["a0"] = [0.3, 0.7 + 5e-7]
     model = parse_model(doc)
-    assert abs(model.kernels[0][0].sum() - 1.0) <= 1e-12
+    assert abs(model.kernels[0].sum() - 1.0) <= 1e-12
+
+
+def test_stacked_rows_match_document():
+    rng = np.random.default_rng(23)
+    action_counts, zero_rows, scalar_models = set(), 0, 0
+    for k in range(40):
+        doc = random_model_doc(rng, max_states=4, max_actions=3, vector_cost=k % 4 != 0,
+                               horizon=2 if k % 2 else None)
+        model = parse_model(doc)
+        states, n = doc["states"], model.n_states
+        doc_costs = [doc["cost"][s][a] for s in states for a in doc["actions"][s]]
+        has_list = any(isinstance(c, list) for c in doc_costs)
+        assert (model.cost_vector is None) == (not has_list)
+        assert model.kernels.shape == (len(doc_costs), n)
+        assert model.cost_scalar.shape == (len(doc_costs),)
+        assert np.array_equal(model.counts, [len(doc["actions"][s]) for s in states])
+        action_counts.update(int(c) for c in model.counts)
+        scalar_models += not has_list
+
+        row = 0
+        for i, s in enumerate(states):
+            assert model.starts[i] == row
+            for a, label in enumerate(doc["actions"][s]):
+                assert row == model.starts[i] + a
+                nominal = np.array(doc["kernel"][s][label])
+                assert np.abs(model.kernels[row] - nominal).max() <= 1e-15
+                cost = doc["cost"][s][label]
+                if isinstance(cost, list):
+                    assert model.cost_scalar[row] == 0.0
+                    assert np.array_equal(model.cost_vector[row], cost)
+                else:
+                    assert model.cost_scalar[row] == cost
+                    if model.cost_vector is not None:
+                        assert np.array_equal(model.cost_vector[row], np.zeros(n))
+                        zero_rows += 1
+                row += 1
+
+        # the per-state loops the row layout replaced
+        for _ in range(3):
+            idx = np.array([rng.integers(len(doc["actions"][s])) for s in states])
+            want = np.empty((n, n))
+            for i, s in enumerate(states):
+                want[i, :] = doc["cost"][s][doc["actions"][s][idx[i]]]
+            assert np.array_equal(model.transition_cost_matrix(idx), want)
+        # one past the last action of every state, and a negative index
+        for bad in (model.counts, -np.ones(n, dtype=int), np.zeros(n + 1, dtype=int)):
+            with pytest.raises(ModelError):
+                model.transition_cost_matrix(bad)
+        assert model.max_stage_cost() == max(
+            max(c) if isinstance(c, list) else c for c in doc_costs
+        )
+
+        # copies share the rows instead of stacking them again
+        other = model.with_radius(0.5).with_horizon(None if k % 2 else 3)
+        for name in ("kernels", "cost_scalar", "cost_vector", "starts", "counts"):
+            assert getattr(other, name) is getattr(model, name)
+    assert action_counts == {1, 2, 3}
+    assert zero_rows and scalar_models
 
 
 @pytest.mark.parametrize("mutate,field", [
@@ -187,5 +246,4 @@ def test_random_documents_roundtrip_through_json():
         model = parse_model(json.dumps(doc))
         again = parse_model(json.dumps(doc))
         assert model.states == again.states
-        for i in range(model.n_states):
-            assert np.array_equal(model.kernels[i], again.kernels[i])
+        assert np.array_equal(model.kernels, again.kernels)

@@ -359,11 +359,12 @@ def _reference_backup(model, v, radius, policy_idx=None):
         actions = range(len(model.actions[i])) if policy_idx is None else [policy_idx[i]]
         q, nus = [], []
         for a in actions:
+            row = model.starts[i] + a
             payoff = model.discount * v
-            if model.cost_vector[i] is not None:
-                payoff = model.cost_vector[i][a] + payoff
-            nu, value, _, _ = _waterfill(model.kernels[i][a], payoff, radius, TIE)
-            q.append(model.cost_scalar[i][a] + value)
+            if model.cost_vector is not None:
+                payoff = model.cost_vector[row] + payoff
+            nu, value, _, _ = _waterfill(model.kernels[row], payoff, radius, TIE)
+            q.append(model.cost_scalar[row] + value)
             nus.append(nu)
         best = min(q)
         k = next(k for k, x in enumerate(q) if x <= best + TIE * max(1.0, abs(best)))
@@ -414,7 +415,7 @@ def test_batched_backup_matches_per_row_reference(case):
     model = build()
     n = model.n_states
     # entries water-filled per call: every (state, action) row, or one per state
-    per_call = (model.row_stack.kernels.size, n * n)
+    per_call = (model.kernels.size, n * n)
     assert tuple(e >= BATCH_MIN_ENTRIES for e in per_call) == batched, per_call
     full_exact, fixed_exact = (not b for b in batched)
     rng = np.random.default_rng(84)
@@ -432,7 +433,7 @@ def test_batched_backup_matches_per_row_reference(case):
             assert np.array_equal(got[1], policy)
             _assert_agree(got[2], want[2], fixed_exact)
             stationary = model.with_radius(r)
-            for i, worst in enumerate(build_worst_kernels(stationary, v)):
-                for a, row in enumerate(worst):
-                    want_row = _waterfill(model.kernels[i][a], v, r, TIE)[0]
-                    _assert_agree(row, want_row, full_exact)
+            worst = build_worst_kernels(stationary, v)
+            assert worst.shape == model.kernels.shape
+            for row, nominal in zip(worst, model.kernels):
+                _assert_agree(row, _waterfill(nominal, v, r, TIE)[0], full_exact)

@@ -174,18 +174,18 @@ def test_rollout_zero_cost_is_exactly_zero(threestate):
     assert np.array_equal(out.std_errors, np.zeros(3))
 
 
-def test_rollout_seed_and_jobs_determinism(threestate):
+def test_rollout_seed_and_jobs_determinism(threestate, monkeypatch):
+    # six chunks, so the four threads each take some
+    monkeypatch.setattr("tvdp.verify.CHUNK_SIZE", 512)
     pol = ("u2", "u1", "u2")
-    cfg = RolloutConfig(episodes=3000, seed=7, chunk_size=512)
+    cfg = RolloutConfig(episodes=3000, seed=7)
     a = monte_carlo_rollout(threestate, pol, cfg)
     b = monte_carlo_rollout(threestate, pol, cfg)
-    c = monte_carlo_rollout(threestate, pol, RolloutConfig(
-        episodes=3000, seed=7, chunk_size=512, jobs=4))
+    c = monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=3000, seed=7, jobs=4))
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.std_errors, b.std_errors)
     assert np.array_equal(a.means, c.means)
-    d = monte_carlo_rollout(threestate, pol, RolloutConfig(
-        episodes=3000, seed=8, chunk_size=512))
+    d = monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=3000, seed=8))
     assert not np.array_equal(a.means, d.means)
 
 
@@ -240,12 +240,13 @@ def test_rollout_error_paths(threestate, machine):
         monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=0))
     with pytest.raises(ModelError):
         monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=10, kernel_choice="worst"))
-    with pytest.raises(ModelError):
-        monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=10, kernel_choice="median"))
+    for choice in ("median", "custom"):
+        with pytest.raises(ModelError):
+            monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=10, kernel_choice=choice))
     with pytest.raises(ModelError):
         monte_carlo_rollout(
             threestate, pol,
-            RolloutConfig(episodes=10, kernel_choice="custom"),
+            RolloutConfig(episodes=10, kernel_choice="worst"),
             kernels=np.ones((2, 2)) / 2.0,
         )
     for cap in (0, -3):
