@@ -17,10 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, SolutionRecord, SweepPoint
+from .model import ModelError, SolutionRecord, SweepPoint, _check_one_radius
 from .oracle import DEFAULT_TIE_TOL, _waterfill_rows, waterfill_maximize
 
 log = logging.getLogger("tvdp.finite")
+
+# kernel entries (grid points times rows times row length) that one block of a
+# finite sweep stacks: the grid may hold up to a million points, and this keeps
+# the vectorized pass's temporaries at a few MB
+_SWEEP_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -122,15 +127,33 @@ def evaluate_policy_finite(model, policy_seq):
 
 
 def sweep_radius_finite(model, radii):
-    """Stage-0 values and policies across a grid of scalar radii."""
+    """Stage-0 values and policies across a grid of scalar radii.
+
+    Each radius replaces every stage's radius, as ``model.with_radius(r)``
+    does, and is checked as it checks one. The grid is a batch axis: its
+    points go through one backward induction per block of
+    ``_SWEEP_BLOCK_ENTRIES`` stacked kernel entries (at least one point), each
+    stage one batched :func:`_backup`. A point gets the values and policy
+    that ``solve_finite`` gives it, with one exception: where the block's
+    stacked rows take the vectorized water-fill and one point's rows take the
+    per-row loop, the values may differ in the last bits (and the action
+    with them, at a near-tie on the edge of the tie tolerance).
+    """
     if not model.is_finite:
         raise ModelError("sweep_radius_finite needs a model with a horizon")
+    grid = [_check_one_radius(float(r)) for r in radii]
+    per_block = max(1, _SWEEP_BLOCK_ENTRIES // model.kernels.size)
     points = []
-    for r in radii:
-        plans = solve_finite(model.with_radius(float(r)))
-        points.append(
-            SweepPoint(radius=float(r), values=plans[0].values, policy=plans[0].policy)
-        )
+    for lo in range(0, len(grid), per_block):
+        block = grid[lo:lo + per_block]
+        radius = np.array(block)
+        v = np.broadcast_to(model.terminal_cost, (radius.size, model.n_states))
+        for _ in range(model.horizon):
+            v, idx, _ = _backup(model, v, radius)
+        points += [
+            SweepPoint(radius=r, values=v[g], policy=model.policy_labels(idx[g]))
+            for g, r in enumerate(block)
+        ]
     return points
 
 
@@ -176,35 +199,54 @@ def _backup(model, v, radius, policy_idx=None):
     With ``policy_idx`` only that action is considered at each state, which
     evaluates the fixed policy.
 
-    The rows taking part (all S·A rows of the model, or the S a fixed policy
-    picks) are water-filled in one call to :func:`oracle._waterfill_rows`,
-    which picks its per-row loop or its vectorized pass from their size.
+    The rows taking part (all M = S·A rows of the model, or the S a fixed
+    policy picks) are water-filled in one call to
+    :func:`oracle._waterfill_rows`, which picks its per-row loop or its
+    vectorized pass from their size.
+
+    Without ``policy_idx``, ``v`` may carry a leading batch axis: a ``(G, S)``
+    stack of value vectors with ``radius`` a ``(G,)`` array, one radius per
+    vector. The model's rows are then stacked G times, block ``g`` taking
+    rows ``g·M`` to ``(g+1)·M`` with its states' starts offset by ``g·M``, and
+    filled and minimized in one call each; the results gain the same leading
+    axis.
     """
-    if policy_idx is None:
-        kernels, f, cv = model.kernels, model.cost_scalar, model.cost_vector
-    else:
-        pick = model.starts + policy_idx
-        kernels, f = model.kernels[pick], model.cost_scalar[pick]
-        cv = None if model.cost_vector is None else model.cost_vector[pick]
+    kernels, f, cv = model.kernels, model.cost_scalar, model.cost_vector
+    starts, counts = model.starts, model.counts
     base = model.discount * v
+    if policy_idx is not None:
+        pick = starts + policy_idx
+        kernels, f = kernels[pick], f[pick]
+        cv = None if cv is None else cv[pick]
+    elif v.ndim == 2:
+        g, m = v.shape[0], kernels.shape[0]
+        kernels, f = np.tile(kernels, (g, 1)), np.tile(f, g)
+        cv = None if cv is None else np.tile(cv, (g, 1))
+        starts = (starts + m * np.arange(g)[:, None]).ravel()
+        counts = np.tile(counts, g)
+        base, radius = np.repeat(base, m, axis=0), np.repeat(radius, m)
     payoff = np.broadcast_to(base, kernels.shape) if cv is None else cv + base
     nus, wf_values = _waterfill_rows(kernels, payoff, radius, DEFAULT_TIE_TOL)
     q = f + wf_values
     if policy_idx is not None:
         return q, np.array(policy_idx, dtype=np.intp), nus
-    best, first = _argmin_rows(model, q, DEFAULT_TIE_TOL)
-    return best, first - model.starts, nus[first]
+    best, first = _argmin_rows(q, starts, counts, DEFAULT_TIE_TOL)
+    idx, rows = first - starts, nus[first]
+    if v.ndim == 2:
+        best, idx, rows = best.reshape(v.shape), idx.reshape(v.shape), rows.reshape(*v.shape, -1)
+    return best, idx, rows
 
 
-def _argmin_rows(model, q, tol):
+def _argmin_rows(q, starts, counts, tol):
     """Per-state minimum of the row values ``q`` and the row that attains it.
 
-    The row is the first of the state's rows whose value lies within
-    ``tol * max(1, |minimum|)`` of the minimum (with ``tol = 0``, the first
-    exact minimum). Returns ``(best, first)`` with ``first`` a row index.
+    State ``i`` owns ``counts[i]`` rows from ``starts[i]`` on. The row is the
+    first of the state's rows whose value lies within ``tol * max(1,
+    |minimum|)`` of the minimum (with ``tol = 0``, the first exact minimum).
+    Returns ``(best, first)`` with ``first`` a row index.
     """
-    best = np.minimum.reduceat(q, model.starts)
+    best = np.minimum.reduceat(q, starts)
     cut = best + tol * np.maximum(1.0, np.abs(best))
-    within = q <= np.repeat(cut, model.counts)
-    first = np.minimum.reduceat(np.where(within, np.arange(q.size), q.size), model.starts)
+    within = q <= np.repeat(cut, counts)
+    first = np.minimum.reduceat(np.where(within, np.arange(q.size), q.size), starts)
     return best, first

@@ -392,5 +392,5 @@ def _improve(model, g, worst, robust):
     The challenger at each state is its first exactly minimal action.
     """
     q = model.cost_scalar + model.discount * (worst @ robust)
-    best, first = _argmin_rows(model, q, 0.0)
+    best, first = _argmin_rows(q, model.starts, model.counts, 0.0)
     return np.where(best < robust - IMPROVE_TOL, first - model.starts, g)

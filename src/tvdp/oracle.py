@@ -302,7 +302,9 @@ def _waterfill_rows(kernels, levels, radius, tie_tol):
     """:func:`_waterfill` for every row of a stacked ``(M, n)`` kernel matrix.
 
     The one entry that fills the rows of a backup. ``levels`` holds each row's
-    payoff in the same shape (a broadcast view works). Below
+    payoff in the same shape (a broadcast view works). ``radius`` is one
+    scalar for every row or an ``(M,)`` array with one value per row; row
+    ``i`` gets the bits that a scalar call with ``radius[i]`` gives it. Below
     ``BATCH_MIN_ENTRIES`` entries (``M * n``) the rows go through
     :func:`_waterfill` one at a time, so the results are that kernel's bits.
     From there on one vectorized pass fills them all: rows are grouped by the
@@ -314,10 +316,12 @@ def _waterfill_rows(kernels, levels, radius, tie_tol):
     """
     m, n = kernels.shape
     if m * n < BATCH_MIN_ENTRIES:
+        per_row = radius.tolist() if isinstance(radius, np.ndarray) else None
         nu = np.empty((m, n))
         values = np.empty(m)
         for i in range(m):
-            nu[i], values[i], _, _ = _waterfill(kernels[i], levels[i], radius, tie_tol)
+            r = radius if per_row is None else per_row[i]
+            nu[i], values[i], _, _ = _waterfill(kernels[i], levels[i], r, tie_tol)
         return nu, values
 
     order = np.argsort(levels, axis=1, kind="stable")

@@ -26,6 +26,10 @@ OPTIMALITY_TOL = 1e-9
 STAT_TOL = 1e-5
 # episodes per rollout chunk, each chunk with its own spawned generator
 CHUNK_SIZE = 16384
+# entries of a chunk's state vector (episodes times start states) whose next
+# states are drawn in one comparison with their cumulative kernel rows: the
+# (rows, S) temporary has at most this many rows
+_DRAW_BLOCK = 2**16
 FEASIBILITY_TOL = 1e-12
 GRID_STEPS = 200
 
@@ -362,7 +366,10 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
         disc = 1.0
         for _ in range(cap):
             draw = rng.random(state.size)
-            nxt = (draw[:, None] > cum[state]).sum(axis=1)
+            nxt = np.empty_like(state)
+            for lo in range(0, state.size, _DRAW_BLOCK):
+                hi = lo + _DRAW_BLOCK
+                nxt[lo:hi] = (draw[lo:hi, None] > cum[state[lo:hi]]).sum(axis=1)
             ret += disc * cost[state, nxt]
             state = nxt
             disc *= model.discount

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import logging
 
@@ -188,6 +189,25 @@ def test_sweep_golden_bytes(capsys):
     )
     assert code == 0
     assert out == GOLDEN_SWEEP
+
+
+# sha256 of the 201-point machine sweeps as every grid point solved on its own
+# printed them: the batched sweep must keep these bytes
+SWEEP_MACHINE_SHA256 = {
+    "3": "05b416e9277b16a72dfa61d32568a8ab0156f368eb3c72b86f4c2e80906d94c4",
+    "50": "70d5d30059ec812697301dc9207daf23db3fbf8b489fc63724bb772fbe17029b",
+}
+
+
+@pytest.mark.parametrize("horizon", ["3", "50"])
+def test_sweep_machine_dense_grid_bytes(capsys, horizon):
+    argv = ["sweep", "--model", "machine", "--radius-grid", "0:2:0.01"]
+    if horizon != "3":
+        argv += ["--horizon", horizon]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.count("\n") == 1 + 201 * 2
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_MACHINE_SHA256[horizon]
 
 
 def test_sweep_grid_includes_endpoint(capsys):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_model, random_model_doc
 from tvdp import ModelError, parse_model
 from tvdp.finite import (
+    _SWEEP_BLOCK_ENTRIES,
     evaluate_policy_finite,
     finite_solution_record,
     initial_worst_value,
@@ -13,6 +14,7 @@ from tvdp.finite import (
     stage_backup,
     sweep_radius_finite,
 )
+from tvdp.oracle import BATCH_MIN_ENTRIES
 
 # hand-derived three-week replacement plans; the printed table rounds these
 MACHINE_EXPECTED = {
@@ -198,6 +200,66 @@ def test_sweep_radius_finite_curve(machine):
     dense = sweep_radius_finite(machine, np.linspace(0.0, 2.0, 9))
     stacked = np.array([pt.values for pt in dense])
     assert np.all(np.diff(stacked, axis=0) >= -1e-12)
+
+
+def _assert_point_solved(model, point):
+    """A sweep point against backward induction at its radius alone."""
+    plans = solve_finite(model.with_radius(point.radius))
+    assert point.policy == plans[0].policy, point.radius
+    gap = np.abs(point.values - plans[0].values)
+    assert np.all(gap <= 1e-12 * np.abs(plans[0].values)), point.radius
+
+
+def test_sweep_matches_per_point_solves():
+    rng = np.random.default_rng(25)
+    for case in range(40):
+        horizon = int(rng.integers(1, 12))
+        radius = None
+        if case % 4 == 3:
+            # the grid replaces a per-stage radius list as well
+            radius = [float(x) for x in rng.uniform(0.0, 2.0, horizon + 1)]
+        model = random_model(
+            rng, max_states=6, max_actions=3, horizon=horizon,
+            vector_cost=case % 2 == 1, radius=radius,
+        )
+        grid = [0.0, 2.0] + [float(x) for x in rng.uniform(0.0, 2.0, 19)]
+        points = sweep_radius_finite(model, grid)
+        assert [pt.radius for pt in points] == grid
+        for pt in points:
+            _assert_point_solved(model, pt)
+
+
+def test_sweep_single_point_is_the_per_point_solve(machine):
+    # one point of the machine model stays below the batched pass's threshold,
+    # so the sweep runs the per-row loop, bit for bit
+    assert machine.kernels.size < BATCH_MIN_ENTRIES
+    for r in (0.0, 0.85, 2.0):
+        (point,) = sweep_radius_finite(machine, [r])
+        plans = solve_finite(machine.with_radius(r))
+        assert point.policy == plans[0].policy
+        assert np.array_equal(point.values, plans[0].values)
+
+
+def test_sweep_spans_blocks(machine):
+    per_block = _SWEEP_BLOCK_ENTRIES // machine.kernels.size
+    grid = list(np.linspace(0.0, 2.0, per_block + 5))
+    points = sweep_radius_finite(machine, grid)
+    assert len(points) == len(grid) > per_block
+    for k in (0, per_block - 2, per_block - 1, per_block, len(grid) - 1):
+        _assert_point_solved(machine, points[k])
+    # each block is its own backward induction: the last one alone gives the
+    # same bits
+    tail = sweep_radius_finite(machine, grid[per_block:])
+    for a, b in zip(points[per_block:], tail):
+        assert a.policy == b.policy and np.array_equal(a.values, b.values)
+    stacked = np.array([pt.values for pt in points])
+    assert np.all(np.diff(stacked, axis=0) >= -1e-12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 2.5])
+def test_sweep_rejects_bad_radius_inside_grid(machine, bad):
+    with pytest.raises(ModelError, match=r"radius must lie in \[0, 2\]"):
+        sweep_radius_finite(machine, [0.0, 0.5, bad, 1.0])
 
 
 def test_initial_worst_value(machine):

@@ -301,6 +301,9 @@ def _kernel_row(draw, levels):
     return w / w.sum()
 
 
+_RADIUS = st.one_of(st.just(0.0), st.just(2.0), st.floats(0.0, 2.0))
+
+
 @st.composite
 def _batches(draw):
     m = draw(st.integers(1, 6))
@@ -311,8 +314,7 @@ def _batches(draw):
     else:
         levels = np.array([draw(_level_row(n)) for _ in range(m)])
     kernels = np.array([draw(_kernel_row(row)) for row in levels])
-    radius = draw(st.one_of(st.just(0.0), st.just(2.0), st.floats(0.0, 2.0)))
-    return kernels, levels, radius
+    return kernels, levels, draw(_RADIUS)
 
 
 _CHAIN = 0.6 * TIE * np.arange(4.0)
@@ -350,6 +352,29 @@ def test_waterfill_rows_matches_per_row_kernel(batch):
         assert np.abs(nu[i] - want_nu[i % m]).max() <= 1e-12, i
         scale = max(1.0, abs(want_values[i % m]))
         assert abs(values[i] - want_values[i % m]) <= 1e-12 * scale, i
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches(), st.data())
+def test_waterfill_rows_per_row_radius_matches_scalar_calls(batch, data):
+    kernels, levels, _ = batch
+    reps = -(-BATCH_MIN_ENTRIES // kernels.size)
+    big_kernels = np.tile(kernels, (reps, 1))
+    if levels.strides[0] == 0:
+        big_levels = np.broadcast_to(levels[0], big_kernels.shape)
+    else:
+        big_levels = np.tile(levels, (reps, 1))
+    # the per-row loop below the threshold, the vectorized pass above it
+    for k, lv in ((kernels, levels), (big_kernels, big_levels)):
+        m = k.shape[0]
+        radii = np.array(data.draw(st.lists(_RADIUS, min_size=m, max_size=m)))
+        nu, values = _waterfill_rows(k, lv, radii, TIE)
+        for r in set(radii.tolist()):
+            want_nu, want_values = _waterfill_rows(k, lv, r, TIE)
+            rows = radii == r
+            assert np.array_equal(nu[rows], want_nu[rows])
+            assert np.array_equal(values[rows], want_values[rows])
+    assert kernels.size < BATCH_MIN_ENTRIES <= big_kernels.size
 
 
 def _reference_backup(model, v, radius, policy_idx=None):

@@ -13,6 +13,7 @@ from tvdp.finite import evaluate_policy_finite, solve_finite
 from tvdp.infinite import policy_evaluation_nominal, value_iteration
 from tvdp.oracle import waterfill_maximize
 from tvdp.verify import (
+    _DRAW_BLOCK,
     RolloutConfig,
     brute_force_finite,
     certify_waterfill,
@@ -187,6 +188,42 @@ def test_rollout_seed_and_jobs_determinism(threestate, monkeypatch):
     assert np.array_equal(a.means, c.means)
     d = monte_carlo_rollout(threestate, pol, RolloutConfig(episodes=3000, seed=8))
     assert not np.array_equal(a.means, d.means)
+
+
+def test_rollout_draws_in_sub_blocks_keep_the_bits(monkeypatch):
+    # a 30-state model whose chunks compare their draws in several sub-blocks
+    # must give the means of one comparison over the whole chunk
+    monkeypatch.setattr("tvdp.verify.CHUNK_SIZE", 5000)
+    model = random_model(np.random.default_rng(46), min_states=30, max_states=30,
+                         max_actions=2, vector_cost=True, discount=0.9)
+    n, episodes, cap, seed = model.n_states, 7000, 8, 9
+    assert 5000 * n > 2 * _DRAW_BLOCK
+    idx = np.zeros(n, dtype=np.intp)
+    out = monte_carlo_rollout(model, idx.tolist(),
+                              RolloutConfig(episodes=episodes, horizon_cap=cap, seed=seed))
+
+    cost = model.transition_cost_matrix(idx)
+    cum = model.kernels[model.starts].cumsum(axis=1)
+    cum[:, -1] = 1.0
+    total, total_sq = np.zeros(n), np.zeros(n)
+    for seq, n_eps in zip(np.random.SeedSequence(seed).spawn(2), (5000, 2000)):
+        rng = np.random.default_rng(seq)
+        state = np.repeat(np.arange(n), n_eps)
+        ret = np.zeros(state.size)
+        disc = 1.0
+        for _ in range(cap):
+            draw = rng.random(state.size)
+            nxt = (draw[:, None] > cum[state]).sum(axis=1)
+            ret += disc * cost[state, nxt]
+            state = nxt
+            disc *= model.discount
+        per_start = ret.reshape(n, n_eps)
+        total += per_start.sum(axis=1)
+        total_sq += (per_start**2).sum(axis=1)
+    means = total / episodes
+    variance = np.maximum(total_sq - episodes * means**2, 0.0) / (episodes - 1)
+    assert np.array_equal(out.means, means)
+    assert np.array_equal(out.std_errors, np.sqrt(variance / episodes))
 
 
 def test_rollout_rejects_bad_action_indices(threestate):
