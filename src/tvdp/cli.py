@@ -28,7 +28,6 @@ from .finite import (
     sweep_radius_finite,
 )
 from .infinite import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PolicyIterationError,
     _evaluate_adversary,
@@ -135,15 +134,13 @@ def _cmd_solve_infinite(args):
         raise ModelError(f"--tol must be a positive finite number, got {args.tol}")
     if args.max_iter is not None and args.max_iter < 1:
         raise ModelError(f"--max-iter must be at least 1, got {args.max_iter}")
+    # without --max-iter each solver keeps its own default cap
+    cap = {} if args.max_iter is None else {"max_iter": args.max_iter}
     if args.method == "vi":
-        max_iter = args.max_iter if args.max_iter is not None else DEFAULT_MAX_ITER
-        sol = value_iteration(model, tol=args.tol, max_iter=max_iter)
+        sol = value_iteration(model, tol=args.tol, **cap)
     else:
         init = _parse_label_list(args.init) if args.init else None
-        max_iter = args.max_iter if args.max_iter is not None else 1000
-        sol, trace = policy_iteration(
-            model, initial_policy=init, mode=args.pi_mode, max_iter=max_iter
-        )
+        sol, trace = policy_iteration(model, initial_policy=init, mode=args.pi_mode, **cap)
         log.info(
             "policy iteration: %d improvement iterations, residual %s",
             trace.improvement_iterations,
@@ -152,7 +149,7 @@ def _cmd_solve_infinite(args):
     _emit_record(stationary_solution_record(model, sol), args.out)
     if not sol.converged:
         print(
-            f"error: no convergence within {max_iter} iterations "
+            f"error: no convergence within {sol.iterations} iterations "
             f"(residual {format_float(sol.residual)})",
             file=sys.stderr,
         )

@@ -41,24 +41,21 @@ class StagePlan:
     values: np.ndarray
     reported_values: np.ndarray
     policy: tuple
-    policy_idx: object
     worst_kernels: object
 
 
 def stage_backup(model, next_values, stage_radius, *, stage=None):
     """One robust backup of ``next_values`` with the given kernel radius.
 
-    Returns a StagePlan holding the backed-up values, the per-state argmin
-    actions (ties to the lowest declared index), and the maximizing kernel
-    row per state under the chosen action.
+    ``stage_radius`` is checked as a model radius is. Returns a StagePlan
+    holding the backed-up values, the per-state argmin actions (ties to the
+    lowest declared index), and the maximizing kernel row per state under the
+    chosen action.
     """
     v = np.asarray(next_values, dtype=np.float64)
-    n = model.n_states
-    if v.shape != (n,) or not np.all(np.isfinite(v)):
+    if v.shape != (model.n_states,) or not np.all(np.isfinite(v)):
         raise ModelError("next_values must be a finite vector over the states")
-    r = float(stage_radius)
-    if not 0.0 <= r <= 2.0:
-        raise ModelError(f"stage radius {r} outside [0, 2]")
+    r = _check_one_radius(stage_radius, "stage radius")
 
     values, policy_idx, worst = _backup(model, v, r)
     weight = 1.0 if stage is None else model.discount ** stage
@@ -67,7 +64,6 @@ def stage_backup(model, next_values, stage_radius, *, stage=None):
         values=values,
         reported_values=weight * values,
         policy=model.policy_labels(policy_idx),
-        policy_idx=policy_idx,
         worst_kernels=worst,
     )
 
@@ -91,7 +87,6 @@ def solve_finite(model):
         values=v,
         reported_values=(alpha ** n_stage) * v,
         policy=None,
-        policy_idx=None,
         worst_kernels=None,
     )
     for j in range(n_stage - 1, -1, -1):
@@ -141,7 +136,7 @@ def sweep_radius_finite(model, radii):
     """
     if not model.is_finite:
         raise ModelError("sweep_radius_finite needs a model with a horizon")
-    grid = [_check_one_radius(float(r)) for r in radii]
+    grid = [_check_one_radius(r) for r in radii]
     per_block = max(1, _SWEEP_BLOCK_ENTRIES // model.kernels.size)
     points = []
     for lo in range(0, len(grid), per_block):
@@ -157,18 +152,17 @@ def sweep_radius_finite(model, radii):
     return points
 
 
-def initial_worst_value(model, plans, radius=None):
+def initial_worst_value(model, plans):
     """Worst-case total cost when the initial distribution is ambiguous too.
 
     Optional post-processing: maximizes ``<plans[0].values, nu>`` over the TV
-    ball of radius ``R_0`` (or ``radius``) around the model's ``initial``
-    distribution. The model must declare ``"initial"``.
+    ball of the model's radius ``R_0`` around its ``initial`` distribution
+    (another radius: ``initial_worst_value(model.with_radius(...), plans)``).
+    The model must declare ``"initial"``.
     """
     if model.initial is None:
         raise ModelError("model declares no initial distribution")
-    r0 = model.stage_radii()[0] if radius is None else float(radius)
-    res = waterfill_maximize(model.initial, plans[0].values, r0)
-    return res.value
+    return waterfill_maximize(model.initial, plans[0].values, model.stage_radii()[0]).value
 
 
 def finite_solution_record(model, plans):

@@ -83,8 +83,8 @@ class PolicyIterationTrace:
     improvement_iterations: int
 
 
-def apply_bellman(model, values, radius=None):
-    """One application of the robust Bellman operator.
+def apply_bellman(model, values):
+    """One application of the robust Bellman operator at the model's radius.
 
     Returns ``(new_values, policy)`` where policy holds the greedy action
     labels (argmin ties to the lowest declared index).
@@ -93,24 +93,24 @@ def apply_bellman(model, values, radius=None):
     v = np.asarray(values, dtype=np.float64)
     if v.shape != (model.n_states,) or not np.all(np.isfinite(v)):
         raise ModelError("values must be a finite vector over the states")
-    r = model.scalar_radius() if radius is None else _check_radius(radius)
-    new_v, idx, _ = _backup(model, v, r)
+    new_v, idx, _ = _backup(model, v, model.scalar_radius())
     return new_v, model.policy_labels(idx)
 
 
-def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, radius=None):
+def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Iterate the robust Bellman operator from zero until the update is small.
 
-    Stops once the sup-norm step falls below ``tol * (1 - a) / (2 a)``, which
-    bounds the fixed-point residual of the returned values by ``tol``. Hitting
-    ``max_iter`` first returns the best iterate flagged ``converged=False``.
-    ``tol`` must be finite and positive and ``max_iter`` at least 1.
+    The operator's radius is the model's. Stops once the sup-norm step falls
+    below ``tol * (1 - a) / (2 a)``, which bounds the fixed-point residual of
+    the returned values by ``tol``. Hitting ``max_iter`` first returns the best
+    iterate flagged ``converged=False``. ``tol`` must be finite and positive
+    and ``max_iter`` at least 1.
     """
     _require_stationary(model)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     _check_max_iter(max_iter)
-    r = model.scalar_radius() if radius is None else _check_radius(radius)
+    r = model.scalar_radius()
     alpha = model.discount
     threshold = tol * (1.0 - alpha) / (2.0 * alpha)
 
@@ -155,22 +155,22 @@ def policy_evaluation_nominal(model, policy):
     return _solve_linear(model, idx, model.kernels[model.starts + idx])
 
 
-def build_worst_kernels(model, reference_values, radius=None):
+def build_worst_kernels(model, reference_values):
     """Maximizing kernel row per (state, action) against a state ordering.
 
     Only the ordering (level partition) of ``reference_values`` matters: each
-    nominal row is water-filled toward the high-value states. All S·A rows
-    go to :func:`oracle._waterfill_rows` in one call, which picks its
-    per-row loop or its vectorized pass from their size. Returns the
-    ``(M, n)`` array whose row ``model.starts[i] + a`` is the maximizing row
-    for action ``a`` at state ``i``, laid out as ``model.kernels``.
+    nominal row is water-filled toward the high-value states, in the ball of
+    the model's radius. All S·A rows go to :func:`oracle._waterfill_rows` in
+    one call, which picks its per-row loop or its vectorized pass from their
+    size. Returns the ``(M, n)`` array whose row ``model.starts[i] + a`` is
+    the maximizing row for action ``a`` at state ``i``, laid out as
+    ``model.kernels``.
     """
     _require_stationary(model)
     ref = np.asarray(reference_values, dtype=np.float64)
     if ref.shape != (model.n_states,) or not np.all(np.isfinite(ref)):
         raise ModelError("reference_values must be a finite vector over the states")
-    r = model.scalar_radius() if radius is None else _check_radius(radius)
-    kernels = model.kernels
+    kernels, r = model.kernels, model.scalar_radius()
     return _waterfill_rows(kernels, np.broadcast_to(ref, kernels.shape), r, DEFAULT_TIE_TOL)[0]
 
 
@@ -283,17 +283,16 @@ def sweep_radius_infinite(model, radii):
     Each point is an exact fixed point, solved by fixed-point policy
     iteration started from the previous point's policy. The actions are the
     final backup's, lowest index among ties, so they do not depend on the
-    grid's order.
+    grid's order. Each radius is checked by ``model.with_radius``.
     """
     _require_stationary(model)
     points = []
     policy = None
     for r in radii:
-        sol, _ = policy_iteration(
-            model.with_radius(_check_radius(r)), initial_policy=policy, mode="fixed_point"
-        )
+        at_r = model.with_radius(r)
+        sol, _ = policy_iteration(at_r, initial_policy=policy, mode="fixed_point")
         policy = sol.policy_idx
-        points.append(SweepPoint(radius=float(r), values=sol.values, policy=sol.policy))
+        points.append(SweepPoint(radius=at_r.radius, values=sol.values, policy=sol.policy))
     return points
 
 
@@ -328,13 +327,6 @@ def _require_stationary(model):
 def _check_max_iter(max_iter):
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-
-
-def _check_radius(radius):
-    r = float(radius)
-    if not 0.0 <= r <= 2.0:
-        raise ModelError(f"radius {r} outside [0, 2]")
-    return r
 
 
 def _solve_linear(model, idx, rows):

@@ -26,6 +26,21 @@ def stationary_machine():
     return parse_model(doc)
 
 
+def classical_backup(model, v):
+    """One textbook Bellman backup of ``v`` with no ambiguity, state by state."""
+    new = np.empty(model.n_states)
+    for i in range(model.n_states):
+        best = np.inf
+        for a in range(len(model.actions[i])):
+            row = model.starts[i] + a
+            payoff = model.discount * v
+            if model.cost_vector is not None:
+                payoff = model.cost_vector[row] + payoff
+            best = min(best, model.cost_scalar[row] + model.kernels[row] @ payoff)
+        new[i] = best
+    return new
+
+
 def random_model_doc(rng, max_states=3, max_actions=2, horizon=None,
                      vector_cost=False, discount=None, radius=None, min_states=2):
     """A random valid model document in dict form."""

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_model
+from conftest import classical_backup, random_model
 from tvdp import load_example
 from tvdp.finite import solve_finite
 from tvdp.infinite import (
@@ -37,45 +37,6 @@ def _report(capsys, num, desc, ok, detail=""):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
-
-
-def _classical_finite(model):
-    """Textbook backward induction, no ambiguity."""
-    v = model.terminal_cost.astype(float).copy()
-    per_stage = [v.copy()]
-    for _ in range(model.horizon):
-        new = np.empty(model.n_states)
-        for i in range(model.n_states):
-            best = np.inf
-            for a in range(len(model.actions[i])):
-                row = model.starts[i] + a
-                payoff = model.discount * v
-                if model.cost_vector is not None:
-                    payoff = model.cost_vector[row] + payoff
-                best = min(best, model.cost_scalar[row] + model.kernels[row] @ payoff)
-            new[i] = best
-        v = new
-        per_stage.append(v.copy())
-    per_stage.reverse()
-    return per_stage
-
-
-def _classical_vi_steps(model, steps):
-    """Textbook value iteration from zero, a fixed number of sweeps."""
-    v = np.zeros(model.n_states)
-    for _ in range(steps):
-        new = np.empty(model.n_states)
-        for i in range(model.n_states):
-            best = np.inf
-            for a in range(len(model.actions[i])):
-                row = model.starts[i] + a
-                payoff = model.discount * v
-                if model.cost_vector is not None:
-                    payoff = model.cost_vector[row] + payoff
-                best = min(best, model.cost_scalar[row] + model.kernels[row] @ payoff)
-            new[i] = best
-        v = new
-    return v
 
 
 def test_criterion_1_finite_horizon_table(machine, capsys):
@@ -249,7 +210,9 @@ def test_criterion_7_classical_reduction(capsys):
             horizon=int(rng.integers(1, 5)), radius=0.0,
         )
         plans = solve_finite(model)
-        expect = _classical_finite(model)
+        expect = [model.terminal_cost]
+        for _ in range(model.horizon):
+            expect.insert(0, classical_backup(model, expect[0]))
         gap = max(
             float(np.abs(plans[j].values - expect[j]).max())
             for j in range(model.horizon + 1)
@@ -259,7 +222,9 @@ def test_criterion_7_classical_reduction(capsys):
     for _ in range(50):
         model = random_model(rng, max_states=4, max_actions=3, radius=0.0)
         sol = value_iteration(model)
-        ref = _classical_vi_steps(model, sol.iterations)
+        ref = np.zeros(model.n_states)
+        for _ in range(sol.iterations):
+            ref = classical_backup(model, ref)
         gap = float(np.abs(sol.values - ref).max())
         worst = max(worst, gap)
         ok &= gap <= 1e-12

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, random_model_doc
+from conftest import classical_backup, random_model, random_model_doc
 from tvdp import ModelError, parse_model
 from tvdp.finite import (
     _SWEEP_BLOCK_ENTRIES,
@@ -27,27 +27,6 @@ MACHINE_EXPECTED = {
         [("m", "r"), ("m", "r"), ("m", "r")],
     ),
 }
-
-
-def _classical_finite(model):
-    """Independent textbook backward induction (no ambiguity, R=0)."""
-    v = model.terminal_cost.astype(float).copy()
-    per_stage = [v.copy()]
-    for _ in range(model.horizon):
-        new = np.empty(model.n_states)
-        for i in range(model.n_states):
-            best = np.inf
-            for a in range(len(model.actions[i])):
-                row = model.starts[i] + a
-                payoff = model.discount * v
-                if model.cost_vector is not None:
-                    payoff = model.cost_vector[row] + payoff
-                best = min(best, model.cost_scalar[row] + model.kernels[row] @ payoff)
-            new[i] = best
-        v = new
-        per_stage.append(v.copy())
-    per_stage.reverse()
-    return per_stage
 
 
 @pytest.mark.parametrize("radius", [0.85, 0.0])
@@ -138,7 +117,9 @@ def test_classical_reduction_spot_checks():
             vector_cost=bool(rng.random() < 0.5),
             radius=0.0,
         )
-        expect = _classical_finite(model)
+        expect = [model.terminal_cost]
+        for _ in range(model.horizon):
+            expect.insert(0, classical_backup(model, expect[0]))
         plans = solve_finite(model)
         for j, want in enumerate(expect):
             assert np.allclose(plans[j].values, want, atol=1e-12)

@@ -251,7 +251,7 @@ def test_build_worst_kernels_exact_ninths(threestate):
 
 
 def test_build_worst_kernels_radius_zero_is_nominal(threestate):
-    worst = build_worst_kernels(threestate, np.array([1.0, 2.0, 3.0]), radius=0.0)
+    worst = build_worst_kernels(threestate.with_radius(0.0), np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(worst, threestate.kernels)
 
 

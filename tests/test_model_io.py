@@ -9,6 +9,7 @@ from conftest import random_model, random_model_doc
 from tvdp import (
     ModelError,
     dumps_canonical,
+    example_model_text,
     example_names,
     load_example,
     load_model,
@@ -18,8 +19,8 @@ from tvdp import (
     solution_csv,
     sweep_csv,
 )
-from tvdp.finite import finite_solution_record, solve_finite
-from tvdp.infinite import stationary_solution_record, value_iteration
+from tvdp.finite import finite_solution_record, solve_finite, stage_backup, sweep_radius_finite
+from tvdp.infinite import stationary_solution_record, sweep_radius_infinite, value_iteration
 from tvdp.model import SweepPoint, format_float, read_csv_rows
 
 
@@ -143,6 +144,55 @@ def test_stationary_requires_discount_below_one():
         parse_model(doc)
     doc["horizon"] = 3
     assert parse_model(doc).discount == 1.0
+
+
+def _radius_entry_points():
+    """Every entry point that takes a radius, mapped to the radius it keeps
+    (``stage_backup`` keeps none: to its values)."""
+    doc = json.loads(example_model_text("machine"))
+    machine, threestate = parse_model(doc), load_example("threestate")
+    return {
+        "document": lambda r: parse_model(dict(doc, radius=r)).radius,
+        "with_radius": lambda r: threestate.with_radius(r).radius,
+        "stage_backup": lambda r: stage_backup(machine, machine.terminal_cost, r).values,
+        "sweep_radius_finite": lambda r: sweep_radius_finite(machine, [r])[0].radius,
+        "sweep_radius_infinite": lambda r: sweep_radius_infinite(threestate, [r])[0].radius,
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_radius_entry_points()))
+@pytest.mark.parametrize("radius,ok", [
+    pytest.param(0.5, True, id="float"),
+    pytest.param(np.float32(0.5), True, id="float32"),
+    pytest.param(np.int64(1), True, id="int64"),
+    pytest.param(True, False, id="bool"),
+    pytest.param("0.5", False, id="str"),
+    pytest.param(float("nan"), False, id="nan"),
+    pytest.param(-0.1, False, id="negative"),
+    pytest.param(2.5, False, id="above-2"),
+])
+def test_one_radius_rule_at_every_entry_point(entry, radius, ok):
+    # any real number but a bool, finite, in [0, 2], taken as the Python float
+    call = _radius_entry_points()[entry]
+    if ok:
+        got, want = call(radius), call(float(radius))
+        assert type(got) is type(want) and np.array_equal(got, want)
+    else:
+        with pytest.raises(ModelError):
+            call(radius)
+
+
+def test_numpy_scalars_pass_the_number_rules(machine):
+    doc = random_model_doc(np.random.default_rng(4), max_states=2, horizon=2)
+    doc.update(horizon=np.int64(4), discount=np.float32(0.5))
+    doc["cost"]["s0"]["a0"] = np.float32(2.5)
+    model = parse_model(doc)
+    assert type(model.horizon) is int and model.horizon == 4
+    assert model.discount == 0.5 and model.cost_scalar[0] == 2.5
+    assert machine.with_horizon(np.int64(5)).horizon == 5
+    for key, bad in (("horizon", True), ("horizon", np.float64(4.0)), ("discount", True)):
+        with pytest.raises(ModelError):
+            parse_model(dict(doc, **{key: bad}))
 
 
 def test_per_stage_radius_roundtrip():
