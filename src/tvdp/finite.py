@@ -7,9 +7,9 @@ to be paid from the current stage onward, and one backup is
 
 with ``g`` the discount: the next-state cost vector ``c`` is folded into the
 oracle's payoff before maximizing, the scalar part ``f`` added after. Stage j's
-backup perturbs kernel Q_{j+1} and therefore uses radius R_{j+1}. The
-stage-indexed values ``discount**j * v`` are kept alongside for reporting;
-both coincide for undiscounted models.
+backup perturbs kernel Q_{j+1} and therefore uses radius R_{j+1}. A solution
+record reports the stage-indexed values ``discount**j * v``; both coincide for
+undiscounted models.
 """
 
 import logging
@@ -32,25 +32,23 @@ _SWEEP_BLOCK_ENTRIES = 2**15
 class StagePlan:
     """One stage of a finite-horizon solution.
 
-    ``values`` are normalized time-to-go costs; ``reported_values`` carry the
-    stage-indexed weighting ``discount**stage``. The terminal plan has no
-    policy and no kernels.
+    ``values`` are normalized time-to-go costs; :func:`finite_solution_record`
+    weights stage j's by ``discount**j``. The terminal plan has no policy and
+    no kernels.
     """
 
-    stage: int
     values: np.ndarray
-    reported_values: np.ndarray
     policy: tuple
     worst_kernels: object
 
 
-def stage_backup(model, next_values, stage_radius, *, stage=None):
+def stage_backup(model, next_values, stage_radius):
     """One robust backup of ``next_values`` with the given kernel radius.
 
     ``stage_radius`` is checked as a model radius is. Returns a StagePlan
-    holding the backed-up values, the per-state argmin actions (ties to the
-    lowest declared index), and the maximizing kernel row per state under the
-    chosen action.
+    holding the backed-up, normalized values, the per-state argmin actions
+    (ties to the lowest declared index), and the maximizing kernel row per
+    state under the chosen action.
     """
     v = np.asarray(next_values, dtype=np.float64)
     if v.shape != (model.n_states,) or not np.all(np.isfinite(v)):
@@ -58,14 +56,7 @@ def stage_backup(model, next_values, stage_radius, *, stage=None):
     r = _check_one_radius(stage_radius, "stage radius")
 
     values, policy_idx, worst = _backup(model, v, r)
-    weight = 1.0 if stage is None else model.discount ** stage
-    return StagePlan(
-        stage=-1 if stage is None else stage,
-        values=values,
-        reported_values=weight * values,
-        policy=model.policy_labels(policy_idx),
-        worst_kernels=worst,
-    )
+    return StagePlan(values=values, policy=model.policy_labels(policy_idx), worst_kernels=worst)
 
 
 def solve_finite(model):
@@ -78,19 +69,12 @@ def solve_finite(model):
         raise ModelError("solve_finite needs a model with a horizon")
     n_stage = model.horizon
     radii = model.stage_radii()
-    alpha = model.discount
 
     v = model.terminal_cost.astype(np.float64).copy()
     plans = [None] * (n_stage + 1)
-    plans[n_stage] = StagePlan(
-        stage=n_stage,
-        values=v,
-        reported_values=(alpha ** n_stage) * v,
-        policy=None,
-        worst_kernels=None,
-    )
+    plans[n_stage] = StagePlan(values=v, policy=None, worst_kernels=None)
     for j in range(n_stage - 1, -1, -1):
-        plan = stage_backup(model, v, radii[j + 1], stage=j)
+        plan = stage_backup(model, v, radii[j + 1])
         v = plan.values
         plans[j] = plan
     log.debug("solve_finite: horizon %d, stage-0 values %s", n_stage, plans[0].values)
@@ -166,11 +150,14 @@ def initial_worst_value(model, plans):
 
 
 def finite_solution_record(model, plans):
-    """Bundle solve_finite output into a serializable SolutionRecord."""
+    """Bundle solve_finite output into a serializable SolutionRecord.
+
+    Stage j's values are reported as ``discount**j * plans[j].values``.
+    """
     return SolutionRecord(
         kind="finite",
         states=model.states,
-        values=tuple(p.reported_values for p in plans),
+        values=tuple(model.discount ** j * p.values for j, p in enumerate(plans)),
         policies=tuple(p.policy for p in plans),
         worst_kernels=tuple(p.worst_kernels for p in plans),
         metadata={

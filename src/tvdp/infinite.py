@@ -29,7 +29,7 @@ import numpy as np
 
 from .finite import _argmin_rows, _backup
 from .model import ModelError, SolutionRecord, SweepPoint
-from .oracle import DEFAULT_TIE_TOL, _waterfill_rows, partition_levels
+from .oracle import DEFAULT_TIE_TOL, _waterfill_rows
 
 log = logging.getLogger("tvdp.infinite")
 
@@ -62,17 +62,16 @@ class StationarySolution:
 class PolicyIterationStep:
     """Snapshot of one policy-iteration round (0 is the initialization).
 
-    ``paper`` mode records the nominal values' level partition and the frozen
-    worst rows of every (state, action), the ``(M, n)`` array of
-    :func:`build_worst_kernels`; ``fixed_point`` mode records no partition
-    and the adversary's (n_states, n_states) rows under the step's policy.
+    ``nominal_values`` are the step's policy values under the nominal kernel
+    and ``robust_values`` under the worst rows. In ``paper`` mode the support
+    partition and the frozen worst rows follow from the nominal values:
+    ``oracle.partition_levels(nominal_values)`` and
+    ``build_worst_kernels(model, nominal_values)``.
     """
 
     iteration: int
     policy: tuple
     nominal_values: np.ndarray
-    partition: object
-    worst_kernels: object
     robust_values: np.ndarray
 
 
@@ -213,10 +212,8 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
     )
     r = model.scalar_radius()
 
-    nominal, part, worst, robust = _pi_evaluate(model, g, mode, r)
-    steps = [
-        PolicyIterationStep(0, model.policy_labels(g), nominal, part, worst, robust)
-    ]
+    nominal, worst, robust = _pi_evaluate(model, g, mode, r)
+    steps = [PolicyIterationStep(0, model.policy_labels(g), nominal, robust)]
     seen = {tuple(g)}
     iterations = 0
     converged = False
@@ -238,10 +235,8 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
                     f"{iterations} (mode={mode}); the policy evaluation is cycling"
                 )
             seen.add(tuple(g))
-            nominal, part, worst, robust = _pi_evaluate(model, g, mode, r)
-        steps.append(
-            PolicyIterationStep(iterations, model.policy_labels(g), nominal, part, worst, robust)
-        )
+            nominal, worst, robust = _pi_evaluate(model, g, mode, r)
+        steps.append(PolicyIterationStep(iterations, model.policy_labels(g), nominal, robust))
 
     if check is None:
         check, idx, rows = _backup(model, robust, r)
@@ -343,16 +338,17 @@ def _solve_linear(model, idx, rows):
 
 
 def _pi_evaluate(model, idx, mode, radius):
-    """Evaluate a policy: nominal values, the paper mode's state ordering (or
-    None), the worst kernels, and the robust values under those kernels."""
+    """Evaluate a policy: its nominal values, the worst rows, its values under them.
+
+    The rows are :func:`build_worst_kernels` of the nominal values in ``paper``
+    mode and the adversary's ``(n_states, n_states)`` rows in ``fixed_point`` mode.
+    """
     nominal = policy_evaluation_nominal(model, idx)
     if mode == "paper":
-        part = partition_levels(nominal)
         worst = build_worst_kernels(model, nominal)
-        robust = _solve_linear(model, idx, worst[model.starts + idx])
-        return nominal, part, worst, robust
+        return nominal, worst, _solve_linear(model, idx, worst[model.starts + idx])
     robust, rows = _evaluate_adversary(model, idx, nominal, radius)
-    return nominal, None, rows, robust
+    return nominal, rows, robust
 
 
 def _evaluate_adversary(model, idx, v, radius):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oracle import as_distribution
+from .oracle import _is_real, as_distribution
 
 SOLUTION_CSV_HEADER = "stage,state,action,value"
 SWEEP_CSV_HEADER = "radius,state,value,action"
@@ -47,11 +47,6 @@ _MODEL_KEYS = {
     "states", "actions", "kernel", "cost",
     "terminal_cost", "discount", "radius", "horizon", "initial",
 }
-
-# a model scalar is any numbers.Real but a bool; int and float come first
-# because a bare numbers.Real check of a float is six times slower (0.6 us
-# on CPython 3.11), and every stage backup checks its radius
-_REAL = (int, float, numbers.Real)
 
 
 class ModelError(ValueError):
@@ -157,12 +152,11 @@ class RobustMdpModel:
         return tuple(self.actions[i][a] for i, a in enumerate(idx))
 
     def transition_cost_matrix(self, policy_idx):
-        """Total per-transition cost ``f(x, g(x)) + c(x, g(x), z)`` as (n, n)."""
-        idx = np.asarray(policy_idx)
-        # an index past a state's actions would read the next state's row
-        if idx.shape != self.counts.shape or np.any((idx < 0) | (idx >= self.counts)):
-            raise ModelError("policy indices must give one valid action per state")
-        pick = self.starts + idx
+        """Total per-transition cost ``f(x, g(x)) + c(x, g(x), z)`` as (n, n).
+
+        ``policy_idx`` is checked by :meth:`policy_indices`.
+        """
+        pick = self.starts + self.policy_indices(policy_idx)
         mat = np.repeat(self.cost_scalar[pick, None], self.n_states, axis=1)
         if self.cost_vector is not None:
             mat += self.cost_vector[pick]
@@ -216,15 +210,7 @@ def parse_model(source):
         crows = _lookup(doc["cost"], s, "cost")
         for a in actions[i]:
             row = _lookup(krows, a, f"kernel[{s!r}]")
-            try:
-                dist = as_distribution(row, sum_tol=1e-6, entry_tol=1e-9)
-            except ValueError as exc:
-                raise ModelError(f"kernel[{s!r}][{a!r}]: {exc}") from None
-            if dist.size != n:
-                raise ModelError(
-                    f"kernel[{s!r}][{a!r}] has {dist.size} entries for {n} states"
-                )
-            rows.append(dist)
+            rows.append(_parse_distribution(row, n, f"kernel[{s!r}][{a!r}]"))
             sc, vec = _parse_cost(_lookup(crows, a, f"cost[{s!r}]"), n, s, a)
             f_sc.append(sc)
             f_vec.append(vec)
@@ -243,12 +229,7 @@ def parse_model(source):
 
     initial = doc.get("initial")
     if initial is not None:
-        try:
-            initial = as_distribution(initial, sum_tol=1e-6, entry_tol=1e-9)
-        except ValueError as exc:
-            raise ModelError(f"initial: {exc}") from None
-        if initial.size != n:
-            raise ModelError("initial distribution length does not match states")
+        initial = _parse_distribution(initial, n, "initial")
 
     return RobustMdpModel(
         states=states,
@@ -526,20 +507,35 @@ def _reject_extra_actions(mapping, acts, where):
 
 def _parse_cost(val, n, state, action):
     where = f"cost[{state!r}][{action!r}]"
-    if isinstance(val, _REAL) and not isinstance(val, bool):
+    if _is_real(val):
         sc = float(val)
         if not math.isfinite(sc) or sc < 0.0:
             raise ModelError(f"{where} must be finite and non-negative")
         return sc, None
-    if isinstance(val, (list, tuple)):
+    if isinstance(val, (list, tuple, np.ndarray)):
         return 0.0, _parse_cost_vector(val, n, where)
     raise ModelError(f"{where} must be a number or a length-{n} list")
 
 
+def _real_vector(val, n, where):
+    """A length-``n`` document vector as float64, every entry a real number but a bool."""
+    if isinstance(val, np.ndarray):
+        val = val.tolist()
+    if not isinstance(val, (list, tuple)) or len(val) != n or not all(map(_is_real, val)):
+        raise ModelError(f"{where} must be a list of {n} numbers")
+    return np.asarray(val, dtype=np.float64)
+
+
+def _parse_distribution(val, n, where):
+    vec = _real_vector(val, n, where)
+    try:
+        return as_distribution(vec, sum_tol=1e-6, entry_tol=1e-9)
+    except ValueError as exc:
+        raise ModelError(f"{where}: {exc}") from None
+
+
 def _parse_cost_vector(val, n, where):
-    vec = np.asarray(val, dtype=np.float64)
-    if vec.shape != (n,):
-        raise ModelError(f"{where} must have length {n}")
+    vec = _real_vector(val, n, where)
     if not np.all(np.isfinite(vec)) or vec.min() < 0.0:
         raise ModelError(f"{where} must be finite and non-negative")
     return vec
@@ -554,7 +550,7 @@ def _parse_horizon(value):
 
 
 def _check_discount(value, horizon):
-    if isinstance(value, bool) or not isinstance(value, _REAL):
+    if not _is_real(value):
         raise ModelError(f"discount must be a number, got {value!r}")
     a = float(value)
     if horizon is not None:
@@ -567,7 +563,7 @@ def _check_discount(value, horizon):
 
 def _check_one_radius(value, where="radius"):
     """The one rule for a model radius: a real number, not a bool, finite, in [0, 2]."""
-    if isinstance(value, bool) or not isinstance(value, _REAL):
+    if not _is_real(value):
         raise ModelError(f"{where} must be a number, got {value!r}")
     r = float(value)
     if not math.isfinite(r) or not 0.0 <= r <= 2.0:

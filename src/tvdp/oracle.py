@@ -14,11 +14,17 @@ Conventions used across the package:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TIE_TOL = 1e-9
+
+# a real number is any numbers.Real but a bool; int and float come first
+# because a bare numbers.Real check of a float is six times slower (0.6 us
+# on CPython 3.11), and every stage backup checks its radius
+_REAL = (int, float, numbers.Real)
 
 # entries (rows times row length) from which one vectorized pass over all the
 # rows of a call beats the per-row loop; below it numpy's per-call cost
@@ -44,9 +50,10 @@ def as_distribution(vec, sum_tol=1e-12, entry_tol=1e-12):
     Entries may undershoot 0 or overshoot 1 by ``entry_tol`` and the total
     may drift from 1 by ``sum_tol``; anything worse raises ``ValueError``.
     The returned vector is clipped to ``[0, 1]`` and renormalized, so its
-    invariants hold to machine precision.
+    invariants hold to machine precision. Strings, bools and objects raise
+    ``ValueError`` rather than convert.
     """
-    p = np.asarray(vec, dtype=np.float64)
+    p = _as_reals(vec, "distribution")
     if p.ndim != 1 or p.size == 0:
         raise ValueError("distribution must be a non-empty 1-D vector")
     if not np.all(np.isfinite(p)):
@@ -62,8 +69,7 @@ def as_distribution(vec, sum_tol=1e-12, entry_tol=1e-12):
 
 def tv_distance(p, q):
     """Unhalved total-variation distance ``sum |p - q|`` between two vectors."""
-    a = np.asarray(p, dtype=np.float64)
-    b = np.asarray(q, dtype=np.float64)
+    a, b = _as_reals(p, "p"), _as_reals(q, "q")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.abs(a - b).sum())
@@ -89,10 +95,6 @@ class SupportPartition:
     sigma_levels: tuple
     levels: tuple
     level_max: float
-
-    @property
-    def n_sets(self):
-        return len(self.sigma_levels) + 1
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,21 @@ def unclamped_value(mu, levels, radius):
     return float(lv @ p) + 0.5 * r * float(lv.max() - lv.min())
 
 
+def _is_real(x):
+    """The package's one rule for a scalar number: a ``numbers.Real``, not a bool."""
+    return isinstance(x, _REAL) and not isinstance(x, bool)
+
+
+def _as_reals(values, what):
+    """``values`` as float64; strings, bools and objects, which it would convert, raise."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "fiu":
+        raise ValueError(f"{what} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _as_levels(levels):
-    lv = np.asarray(levels, dtype=np.float64)
+    lv = _as_reals(levels, "levels")
     if lv.ndim != 1 or lv.size == 0:
         raise ValueError("levels must be a non-empty 1-D vector")
     if not np.all(np.isfinite(lv)):
@@ -200,16 +215,16 @@ def _as_levels(levels):
 
 
 def _as_tie_tol(tie_tol):
-    t = float(tie_tol)
+    t = float(tie_tol) if _is_real(tie_tol) else math.nan
     if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"tie_tol {t!r} must be finite and non-negative")
+        raise ValueError(f"tie_tol {tie_tol!r} is not a finite, non-negative real number")
     return t
 
 
 def _as_radius(radius):
-    r = float(radius)
-    if not np.isfinite(r) or r < -1e-12 or r > 2.0 + 1e-12:
-        raise ValueError(f"radius {r!r} outside [0, 2]")
+    r = float(radius) if _is_real(radius) else math.nan
+    if not math.isfinite(r) or r < -1e-12 or r > 2.0 + 1e-12:
+        raise ValueError(f"radius {radius!r} is not a real number in [0, 2]")
     return min(max(r, 0.0), 2.0)
 
 

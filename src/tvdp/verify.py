@@ -203,15 +203,16 @@ class MarkovSufficiencyReport:
     passed: bool
 
 
-def markov_sufficiency_check(model, atol=1e-9, budget=2**17):
+def markov_sufficiency_check(model, budget=2**17):
     """History-dependent policies cannot beat the Markov optimum.
 
     Enumerates every deterministic history-dependent policy of a tiny model
     (an action choice per state-history node), evaluates each against the
     per-stage adversary, and compares the componentwise minimum with the
-    backward-induction values. Oracle evaluations are memoized by
-    (stage, state, action, child values), which dedupes identical pure
-    computations without skipping any policy.
+    backward-induction values; the check passes when they differ by at most
+    ``OPTIMALITY_TOL``. Oracle evaluations are memoized by (stage, state,
+    action, child values), which dedupes identical pure computations without
+    skipping any policy.
     """
     if not model.is_finite:
         raise ModelError("markov_sufficiency_check needs a model with a horizon")
@@ -273,7 +274,7 @@ def markov_sufficiency_check(model, atol=1e-9, budget=2**17):
         history_values=history_best,
         max_gap=gap,
         policies_enumerated=total,
-        passed=bool(gap <= atol),
+        passed=bool(gap <= OPTIMALITY_TOL),
     )
     log.info("markov_sufficiency_check: gap %.3e over %d policies", gap, total)
     return report
@@ -456,18 +457,18 @@ def _random_ball_points(rng, mu, radius, trials):
 
 
 @lru_cache(maxsize=None)
-def _simplex_grid(n, steps=GRID_STEPS):
+def _simplex_grid(n):
     if n == 1:
         return np.ones((1, 1))
     if n == 2:
-        i = np.arange(steps + 1, dtype=np.float64)
-        return np.column_stack([i, steps - i]) / steps
+        i = np.arange(GRID_STEPS + 1, dtype=np.float64)
+        return np.column_stack([i, GRID_STEPS - i]) / GRID_STEPS
     pts = [
-        (i, j, steps - i - j)
-        for i in range(steps + 1)
-        for j in range(steps + 1 - i)
+        (i, j, GRID_STEPS - i - j)
+        for i in range(GRID_STEPS + 1)
+        for j in range(GRID_STEPS + 1 - i)
     ]
-    return np.asarray(pts, dtype=np.float64) / steps
+    return np.asarray(pts, dtype=np.float64) / GRID_STEPS
 
 
 def _random_instance(rng, max_size):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import logging
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,3 +409,25 @@ def test_info_logging_goes_to_stderr(info_logging, capsys):
     assert code == 0
     assert "improvement iterations" in err
     assert "improvement" not in out
+
+
+def _readme_quick_start():
+    """``(argv, stdout)`` of each ``$ tvdp ...`` example under README's "Quick start"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```text\n")[1:]:
+        for entry in block.split("```", 1)[0].strip("\n").split("\n\n"):
+            command, _, shown = entry.partition("\n")
+            assert command.startswith("$ tvdp "), command
+            examples.append((shlex.split(command)[2:], shown + "\n"))
+    return examples
+
+
+def test_readme_quick_start_output(capsys):
+    examples = _readme_quick_start()
+    assert len(examples) == 3
+    for argv, shown in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out == shown, argv

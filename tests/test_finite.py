@@ -35,7 +35,7 @@ def test_machine_replacement_plan(machine, radius):
     plans = solve_finite(machine.with_radius(radius))
     assert len(plans) == 4
     for j in range(3):
-        assert np.allclose(plans[j].reported_values, values[j], atol=1e-12)
+        assert np.allclose(plans[j].values, values[j], atol=1e-12)
         assert plans[j].policy == policies[j]
     assert np.array_equal(plans[3].values, machine.terminal_cost)
     assert plans[3].policy is None
@@ -102,8 +102,9 @@ def test_reported_values_carry_stage_discount():
     rng = np.random.default_rng(21)
     model = random_model(rng, horizon=3, discount=0.8)
     plans = solve_finite(model)
+    record = finite_solution_record(model, plans)
     for j, plan in enumerate(plans):
-        assert np.allclose(plan.reported_values, (0.8 ** j) * plan.values, rtol=1e-15)
+        assert np.allclose(record.values[j], (0.8 ** j) * plan.values, rtol=1e-15)
 
 
 def test_classical_reduction_spot_checks():

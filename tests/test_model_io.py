@@ -195,6 +195,42 @@ def test_numpy_scalars_pass_the_number_rules(machine):
             parse_model(dict(doc, **{key: bad}))
 
 
+_VECTOR_PLACES = {
+    "kernel_row": lambda doc, v: doc["kernel"]["s0"].__setitem__("a0", v),
+    "cost_vector": lambda doc, v: doc["cost"]["s0"].__setitem__("a0", v),
+    "terminal_cost": lambda doc, v: doc.__setitem__("terminal_cost", v),
+    "initial": lambda doc, v: doc.__setitem__("initial", v),
+}
+
+
+@pytest.mark.parametrize("place", sorted(_VECTOR_PLACES))
+@pytest.mark.parametrize("vector,ok", [
+    pytest.param([0.5, 0.5], True, id="floats"),
+    pytest.param([np.float32(0.5), 0.5], True, id="numpy-scalar"),
+    pytest.param(np.array([0.5, 0.5]), True, id="float-array"),
+    pytest.param(np.array([0.5, 0.5], dtype=np.float32), True, id="float32-array"),
+    pytest.param(["0.5", "0.5"], False, id="str"),
+    pytest.param([True, False], False, id="bool"),
+    pytest.param([True, 0.0], False, id="bool-and-float"),
+    pytest.param(np.array([True, False]), False, id="bool-array"),
+])
+def test_one_number_rule_for_document_vectors(place, vector, ok):
+    # every entry of a document vector obeys the scalar rule: a real number,
+    # not a bool; at parse time a bool or a string is not turned into a number
+    def doc_with(v):
+        doc = random_model_doc(np.random.default_rng(5), max_states=2, horizon=2)
+        _VECTOR_PLACES[place](doc, v)
+        return doc
+
+    if ok:
+        got, want = parse_model(doc_with(vector)), parse_model(doc_with([0.5, 0.5]))
+        for name in ("kernels", "cost_vector", "terminal_cost", "initial"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    else:
+        with pytest.raises(ModelError):
+            parse_model(doc_with(vector))
+
+
 def test_per_stage_radius_roundtrip():
     doc = random_model_doc(np.random.default_rng(3), horizon=2, radius=0.5)
     doc["radius"] = [0.1, 0.2, 0.3]

@@ -159,6 +159,34 @@ def test_waterfill_rejects_bad_inputs():
         partition_levels((1, 2), tie_tol=np.nan)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: waterfill_maximize((0.5, 0.5), (0, 1), "0.5"), id="radius-str"),
+    pytest.param(lambda: waterfill_maximize((0.5, 0.5), (0, 1), True), id="radius-bool"),
+    pytest.param(lambda: unclamped_value((0.5, 0.5), (0, 1), "0.5"), id="unclamped-radius-str"),
+    pytest.param(lambda: waterfill_maximize((0.5, 0.5), (0, 1), 0.5, tie_tol="0.1"),
+                 id="tie_tol-str"),
+    pytest.param(lambda: partition_levels((0, 1), tie_tol=True), id="tie_tol-bool"),
+    pytest.param(lambda: waterfill_maximize((0.5, 0.5), ["0", "1"], 0.5), id="levels-str"),
+    pytest.param(lambda: waterfill_maximize((0.5, 0.5), [True, False], 0.5), id="levels-bool"),
+    pytest.param(lambda: oscillation(np.array([0, 1], dtype=object)), id="levels-object"),
+    pytest.param(lambda: waterfill_maximize(["0.5", "0.5"], (0, 1), 0.5), id="mu-str"),
+    pytest.param(lambda: as_distribution([True, False]), id="mu-bool"),
+    pytest.param(lambda: as_distribution(np.array([0.5, 0.5], dtype=object)), id="mu-object"),
+    pytest.param(lambda: tv_distance(["0.5", "0.5"], (True, False)), id="tv_distance"),
+])
+def test_oracle_arguments_obey_the_number_rule(call):
+    # strings, bools and objects would otherwise be converted into numbers
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_oracle_accepts_numpy_numbers():
+    res = waterfill_maximize(np.array([0.5, 0.5], dtype=np.float32), np.array([0, 1]),
+                             np.float32(0.5), tie_tol=np.float64(0.0))
+    assert res.value == waterfill_maximize((0.5, 0.5), (0.0, 1.0), 0.5).value
+    assert waterfill_maximize((0.0, 1.0), (1, 2), np.int64(1)).value == 2.0
+
+
 def test_waterfill_accepts_boundary_grace():
     # radii a hair outside [0, 2] from upstream round-off are clamped
     res = waterfill_maximize((0.5, 0.5), (1, 2), 2.0 + 1e-13)
