@@ -12,6 +12,7 @@ identical argv and input files produce identical bytes.
 """
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -21,23 +22,20 @@ import sys
 import numpy as np
 
 from . import __version__
-from .finite import (
-    finite_solution_record,
-    initial_worst_value,
-    solve_finite,
-    sweep_radius_finite,
-)
+from . import finite, infinite
+from .finite import finite_solution_record, initial_worst_value, solve_finite
 from .infinite import (
     DEFAULT_TOL,
     PolicyIterationError,
     _evaluate_adversary,
     policy_iteration,
     stationary_solution_record,
-    sweep_radius_infinite,
     value_iteration,
 )
 from .model import (
+    SWEEP_CSV_HEADER,
     ModelError,
+    _sweep_rows,
     dumps_canonical,
     example_model_text,
     example_names,
@@ -46,7 +44,6 @@ from .model import (
     parse_model,
     serialize_solution,
     solution_csv,
-    sweep_csv,
 )
 from .oracle import DEFAULT_TIE_TOL, waterfill_maximize
 from .verify import RolloutConfig, fuzz_waterfill, monte_carlo_rollout
@@ -162,11 +159,13 @@ def _cmd_sweep(args):
     if args.horizon is not None:
         model = model.with_horizon(args.horizon)
     grid = _parse_grid(args.radius_grid)
-    if model.is_finite:
-        points = sweep_radius_finite(model, grid)
-    else:
-        points = sweep_radius_infinite(model, grid)
-    _emit(sweep_csv(points, model.states), args.out)
+    # the model and every radius are checked before a byte is written; then
+    # each block's rows are written as it is solved, so memory stays bounded
+    blocks = (finite if model.is_finite else infinite)._sweep_blocks(model, grid)
+    with _output(args.out) as fh:
+        fh.write(SWEEP_CSV_HEADER + "\n")
+        for block in blocks:
+            fh.write(_sweep_rows(block, model.states))
     return EXIT_OK
 
 
@@ -370,12 +369,19 @@ def _load_model_arg(value):
     return load_model(value)
 
 
-def _emit(text, out):
+@contextlib.contextmanager
+def _output(out):
+    """The file ``out`` opened for writing, or stdout without one."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, out):
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _emit_record(record, out):
@@ -435,7 +441,8 @@ def _parse_grid(text):
     count = int(math.floor((stop - start + GRID_SNAP) / step)) + 1
     if count > MAX_GRID_POINTS:
         raise ModelError(f"radius grid has {count} points; refusing more than {MAX_GRID_POINTS}")
-    grid = [start + k * step for k in range(count)]
+    # the bits of start + k * step, held in 8 bytes a point
+    grid = start + np.arange(count) * step
     if abs(grid[-1] - stop) <= GRID_SNAP:
         grid[-1] = stop
     return grid

@@ -118,22 +118,7 @@ def sweep_radius_finite(model, radii):
     per-row loop, the values may differ in the last bits (and the action
     with them, at a near-tie on the edge of the tie tolerance).
     """
-    if not model.is_finite:
-        raise ModelError("sweep_radius_finite needs a model with a horizon")
-    grid = [_check_one_radius(r) for r in radii]
-    per_block = max(1, _SWEEP_BLOCK_ENTRIES // model.kernels.size)
-    points = []
-    for lo in range(0, len(grid), per_block):
-        block = grid[lo:lo + per_block]
-        radius = np.array(block)
-        v = np.broadcast_to(model.terminal_cost, (radius.size, model.n_states))
-        for _ in range(model.horizon):
-            v, idx, _ = _backup(model, v, radius)
-        points += [
-            SweepPoint(radius=r, values=v[g], policy=model.policy_labels(idx[g]))
-            for g, r in enumerate(block)
-        ]
-    return points
+    return [pt for block in _sweep_blocks(model, radii) for pt in block]
 
 
 def initial_worst_value(model, plans):
@@ -211,23 +196,48 @@ def _backup(model, v, radius, policy_idx=None):
     q = f + wf_values
     if policy_idx is not None:
         return q, np.array(policy_idx, dtype=np.intp), nus
-    best, first = _argmin_rows(q, starts, counts, DEFAULT_TIE_TOL)
+    best, first = _argmin_rows(q, starts, counts)
     idx, rows = first - starts, nus[first]
     if v.ndim == 2:
         best, idx, rows = best.reshape(v.shape), idx.reshape(v.shape), rows.reshape(*v.shape, -1)
     return best, idx, rows
 
 
-def _argmin_rows(q, starts, counts, tol):
+def _sweep_blocks(model, radii):
+    """The points of :func:`sweep_radius_finite`, one list per stacked block.
+
+    Checks the model and every radius at once; each block is solved only
+    when the returned iterator reaches it.
+    """
+    if not model.is_finite:
+        raise ModelError("sweep_radius_finite needs a model with a horizon")
+    grid = np.fromiter(map(_check_one_radius, radii), dtype=np.float64)
+    per_block = max(1, _SWEEP_BLOCK_ENTRIES // model.kernels.size)
+    starts = range(0, grid.size, per_block)
+    return (_solve_block(model, grid[lo:lo + per_block]) for lo in starts)
+
+
+def _solve_block(model, radius):
+    """Backward induction of every radius in ``radius`` at once, as sweep points."""
+    v = np.broadcast_to(model.terminal_cost, (radius.size, model.n_states))
+    for _ in range(model.horizon):
+        v, idx, _ = _backup(model, v, radius)
+    return [
+        SweepPoint(radius=r, values=v[g], policy=model.policy_labels(idx[g]))
+        for g, r in enumerate(radius.tolist())
+    ]
+
+
+def _argmin_rows(q, starts, counts):
     """Per-state minimum of the row values ``q`` and the row that attains it.
 
     State ``i`` owns ``counts[i]`` rows from ``starts[i]`` on. The row is the
-    first of the state's rows whose value lies within ``tol * max(1,
-    |minimum|)`` of the minimum (with ``tol = 0``, the first exact minimum).
+    first of the state's rows whose value lies within ``DEFAULT_TIE_TOL *
+    max(1, |minimum|)`` of the minimum: the package's one action rule.
     Returns ``(best, first)`` with ``first`` a row index.
     """
     best = np.minimum.reduceat(q, starts)
-    cut = best + tol * np.maximum(1.0, np.abs(best))
+    cut = best + DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
     within = q <= np.repeat(cut, counts)
     first = np.minimum.reduceat(np.where(within, np.arange(q.size), q.size), starts)
     return best, first

@@ -23,12 +23,12 @@ fixed point of T, for scalar and next-state costs alike.
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .finite import _argmin_rows, _backup
-from .model import ModelError, SolutionRecord, SweepPoint
+from .model import ModelError, SolutionRecord, SweepPoint, _check_one_radius
 from .oracle import DEFAULT_TIE_TOL, _waterfill_rows
 
 log = logging.getLogger("tvdp.infinite")
@@ -185,7 +185,11 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
     mode : {"fixed_point", "paper"}
         How policies are evaluated and improved; see the module docstring.
         ``fixed_point`` returns an exact fixed point of T and reports the
-        greedy actions of its final backup, lowest index among ties.
+        greedy actions of its final backup. Both modes pick each state's
+        challenger by the action rule of every backup (lowest index within
+        ``DEFAULT_TIE_TOL`` relative of the minimum), and switch a state only
+        where the challenger beats the incumbent by more than
+        ``IMPROVE_TOL * max(1, |value|)``.
     max_iter : int
         Cap on improvement iterations, at least 1; exceeding it returns
         ``converged=False``.
@@ -211,39 +215,44 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         else model.policy_indices(initial_policy)
     )
     r = model.scalar_radius()
-
-    nominal, worst, robust = _pi_evaluate(model, g, mode, r)
-    steps = [PolicyIterationStep(0, model.policy_labels(g), nominal, robust)]
-    seen = {tuple(g)}
-    iterations = 0
+    steps, seen = [], set()
     converged = False
-    check = None
-    while iterations < max_iter and not converged:
-        iterations += 1
+    while True:
+        if tuple(g) in seen:
+            raise PolicyIterationError(
+                f"policy {model.policy_labels(g)} revisited at iteration "
+                f"{len(steps)} (mode={mode}); the policy evaluation is cycling"
+            )
+        seen.add(tuple(g))
+        nominal = policy_evaluation_nominal(model, g)
         if mode == "paper":
-            g_new = _improve(model, g, worst, robust)
+            worst = build_worst_kernels(model, nominal)
+            robust = _solve_linear(model, g, worst[model.starts + g])
+            q = model.cost_scalar + model.discount * (worst @ robust)
+            best, first = _argmin_rows(q, model.starts, model.counts)
+            idx = first - model.starts
         else:
-            check, idx, rows = _backup(model, robust, r)
-            g_new = np.where(check < robust - IMPROVE_TOL, idx, g)
-        # the barren improvement reproduces the incumbent and stops the loop
+            robust, _ = _evaluate_adversary(model, g, nominal, r)
+            best, idx, rows = _backup(model, robust, r)
+        steps.append(PolicyIterationStep(len(steps), model.policy_labels(g), nominal, robust))
+        if len(steps) > max_iter:
+            break
+        # the incumbent keeps every state its challenger does not clearly beat
+        beaten = best < robust - IMPROVE_TOL * np.maximum(1.0, np.abs(robust))
+        g_new = np.where(beaten, idx, g)
         converged = np.array_equal(g_new, g)
-        if not converged:
-            g, check = g_new, None
-            if tuple(g) in seen:
-                raise PolicyIterationError(
-                    f"policy {model.policy_labels(g)} revisited at iteration "
-                    f"{iterations} (mode={mode}); the policy evaluation is cycling"
-                )
-            seen.add(tuple(g))
-            nominal, worst, robust = _pi_evaluate(model, g, mode, r)
-        steps.append(PolicyIterationStep(iterations, model.policy_labels(g), nominal, robust))
+        if converged:
+            # the barren improvement reproduces the incumbent and stops the loop
+            steps.append(replace(steps[-1], iteration=len(steps)))
+            break
+        g = g_new
+    iterations = len(steps) - 1
 
-    if check is None:
-        check, idx, rows = _backup(model, robust, r)
+    # fixed-point mode's last backup is T(robust); paper mode's is frozen
     if mode == "paper":
-        idx = g
-        rows = worst[model.starts + g]
-    residual = float(np.abs(check - robust).max())
+        best = _backup(model, robust, r)[0]
+        idx, rows = g, worst[model.starts + g]
+    residual = float(np.abs(best - robust).max())
     scale = max(1.0, float(np.abs(robust).max()))
     if converged and residual > 1e-8 * scale:
         warnings.warn(
@@ -278,17 +287,9 @@ def sweep_radius_infinite(model, radii):
     Each point is an exact fixed point, solved by fixed-point policy
     iteration started from the previous point's policy. The actions are the
     final backup's, lowest index among ties, so they do not depend on the
-    grid's order. Each radius is checked by ``model.with_radius``.
+    grid's order. Each radius is checked as ``model.with_radius`` checks it.
     """
-    _require_stationary(model)
-    points = []
-    policy = None
-    for r in radii:
-        at_r = model.with_radius(r)
-        sol, _ = policy_iteration(at_r, initial_policy=policy, mode="fixed_point")
-        policy = sol.policy_idx
-        points.append(SweepPoint(radius=at_r.radius, values=sol.values, policy=sol.policy))
-    return points
+    return [pt for block in _sweep_blocks(model, radii) for pt in block]
 
 
 def stationary_solution_record(model, sol):
@@ -337,18 +338,24 @@ def _solve_linear(model, idx, rows):
     return np.linalg.solve(np.eye(rows.shape[0]) - model.discount * rows, costs)
 
 
-def _pi_evaluate(model, idx, mode, radius):
-    """Evaluate a policy: its nominal values, the worst rows, its values under them.
+def _sweep_blocks(model, radii):
+    """The points of :func:`sweep_radius_infinite`, one single-point list each.
 
-    The rows are :func:`build_worst_kernels` of the nominal values in ``paper``
-    mode and the adversary's ``(n_states, n_states)`` rows in ``fixed_point`` mode.
+    Checks the model and every radius at once; each point is solved only
+    when the returned iterator reaches it.
     """
-    nominal = policy_evaluation_nominal(model, idx)
-    if mode == "paper":
-        worst = build_worst_kernels(model, nominal)
-        return nominal, worst, _solve_linear(model, idx, worst[model.starts + idx])
-    robust, rows = _evaluate_adversary(model, idx, nominal, radius)
-    return nominal, rows, robust
+    _require_stationary(model)
+    grid = np.fromiter(map(_check_one_radius, radii), dtype=np.float64)
+
+    def points():
+        policy = None
+        for r in map(float, grid):
+            at_r = model.with_radius(r)
+            sol, _ = policy_iteration(at_r, initial_policy=policy, mode="fixed_point")
+            policy = sol.policy_idx
+            yield [SweepPoint(radius=r, values=sol.values, policy=sol.policy)]
+
+    return points()
 
 
 def _evaluate_adversary(model, idx, v, radius):
@@ -372,13 +379,3 @@ def _evaluate_adversary(model, idx, v, radius):
         f"adversary evaluation of policy {model.policy_labels(idx)} did not settle "
         f"within {ADVERSARY_MAX_ROUNDS} rounds"
     )
-
-
-def _improve(model, g, worst, robust):
-    """Greedy improvement against frozen kernels; incumbent wins near-ties.
-
-    The challenger at each state is its first exactly minimal action.
-    """
-    q = model.cost_scalar + model.discount * (worst @ robust)
-    best, first = _argmin_rows(q, model.starts, model.counts, 0.0)
-    return np.where(best < robust - IMPROVE_TOL, first - model.starts, g)

@@ -396,14 +396,16 @@ def solution_csv(record):
 
 def sweep_csv(points, states):
     """Render sweep points as ``radius,state,value,action`` CSV text."""
-    lines = [SWEEP_CSV_HEADER]
-    for pt in points:
-        for i, state in enumerate(states):
-            lines.append(
-                f"{format_float(pt.radius)},{state},"
-                f"{format_float(pt.values[i])},{pt.policy[i]}"
-            )
-    return "\n".join(lines) + "\n"
+    return SWEEP_CSV_HEADER + "\n" + _sweep_rows(points, states)
+
+
+def _sweep_rows(points, states):
+    """The CSV rows of ``points`` after the header, each ending in a newline."""
+    return "".join(
+        f"{format_float(pt.radius)},{state},{format_float(pt.values[i])},{pt.policy[i]}\n"
+        for pt in points
+        for i, state in enumerate(states)
+    )
 
 
 def read_csv_rows(text):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .finite import evaluate_policy_finite, solve_finite
 from .model import ModelError, dumps_canonical
-from .oracle import as_distribution, waterfill_maximize
+from .oracle import _as_levels, _as_radius, _as_reals, as_distribution, waterfill_maximize
 
 log = logging.getLogger("tvdp.verify")
 
@@ -32,6 +32,10 @@ CHUNK_SIZE = 16384
 _DRAW_BLOCK = 2**16
 FEASIBILITY_TOL = 1e-12
 GRID_STEPS = 200
+# most policies the exhaustive checks enumerate: Markov policies in
+# brute_force_finite, history-dependent ones in markov_sufficiency_check
+BRUTE_FORCE_BUDGET = 10**6
+MARKOV_BUDGET = 2**17
 
 
 @dataclass(frozen=True)
@@ -68,15 +72,17 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
     point by more than 1e-9. Probes are random zero-sum mass transfers from
     ``mu`` scaled to the ball boundary or interior, plus an exhaustive
     simplex grid of step 1/200 for alphabets of up to three points.
+    ``mu``, ``levels`` and ``radius`` are checked as the oracle checks them;
+    a candidate or claimed value that is not finite raises ``ValueError``.
     """
-    p = as_distribution(mu)
-    lv = np.asarray(levels, dtype=np.float64)
-    r = float(radius)
-    nu = np.asarray(getattr(candidate, "maximizer", candidate), dtype=np.float64)
+    p, lv, r = _as_instance(mu, levels, radius)
+    nu = _as_reals(getattr(candidate, "maximizer", candidate), "candidate")
     if nu.shape != p.shape:
         raise ValueError("candidate shape does not match mu")
     achieved = float(lv @ nu)
     value = float(getattr(candidate, "value", achieved))
+    if not (np.all(np.isfinite(nu)) and math.isfinite(value)):
+        raise ValueError("candidate maximizer and claimed value must be finite")
 
     failed = False
     if abs(value - achieved) > OPTIMALITY_TOL:
@@ -145,16 +151,15 @@ def two_point_max_value(mu, levels, radius):
     ``<levels, mu> + min(radius/2, mu(argmin), 1 - mu(argmax)) * spread``;
     independent of the water-fill code path.
     """
-    p = as_distribution(mu)
-    lv = np.asarray(levels, dtype=np.float64)
-    if p.size != 2 or lv.size != 2:
+    p, lv, r = _as_instance(mu, levels, radius)
+    if p.size != 2:
         raise ValueError("two_point_max_value needs exactly two outcomes")
     base = float(lv @ p)
     if lv[0] == lv[1]:
         return base
     hi = int(np.argmax(lv))
     lo = 1 - hi
-    shift = min(0.5 * float(radius), float(p[lo]), 1.0 - float(p[hi]))
+    shift = min(0.5 * r, float(p[lo]), 1.0 - float(p[hi]))
     return base + shift * float(lv[hi] - lv[lo])
 
 
@@ -169,7 +174,7 @@ class BruteForceResult:
     enumerated: int
 
 
-def brute_force_finite(model, budget=10**6):
+def brute_force_finite(model):
     """Componentwise-minimal worst-case values over all Markov policies.
 
     Enumerates every deterministic per-stage action assignment and evaluates
@@ -180,8 +185,8 @@ def brute_force_finite(model, budget=10**6):
         raise ModelError("brute_force_finite needs a model with a horizon")
     stage_space = list(itertools.product(*[range(len(a)) for a in model.actions]))
     total = len(stage_space) ** model.horizon
-    if total > budget:
-        raise ModelError(f"enumeration of {total} policies exceeds budget {budget}")
+    if total > BRUTE_FORCE_BUDGET:
+        raise ModelError(f"enumeration of {total} policies exceeds budget {BRUTE_FORCE_BUDGET}")
     n = model.n_states
     best = np.full(n, np.inf)
     best_pol = [None] * n
@@ -203,7 +208,7 @@ class MarkovSufficiencyReport:
     passed: bool
 
 
-def markov_sufficiency_check(model, budget=2**17):
+def markov_sufficiency_check(model):
     """History-dependent policies cannot beat the Markov optimum.
 
     Enumerates every deterministic history-dependent policy of a tiny model
@@ -230,8 +235,10 @@ def markov_sufficiency_check(model, budget=2**17):
     total = 1
     for m in choice_sizes:
         total *= m
-    if total > budget:
-        raise ModelError(f"enumeration of {total} history policies exceeds budget {budget}")
+    if total > MARKOV_BUDGET:
+        raise ModelError(
+            f"enumeration of {total} history policies exceeds budget {MARKOV_BUDGET}"
+        )
     node_pos = {key: k for k, key in enumerate(flat)}
 
     memo = {}
@@ -405,6 +412,14 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _as_instance(mu, levels, radius):
+    """``mu``, ``levels`` and ``radius`` checked by the oracle's rules."""
+    p, lv = as_distribution(mu), _as_levels(levels)
+    if lv.shape != p.shape:
+        raise ValueError(f"levels shape {lv.shape} does not match mu shape {p.shape}")
+    return p, lv, _as_radius(radius)
 
 
 def _auto_cap(alpha, f_max):

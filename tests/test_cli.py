@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvdp import example_model_text
-from tvdp.cli import main
+from tvdp import example_model_text, load_example, sweep_csv
+from tvdp.cli import _parse_grid, main
+from tvdp.finite import _SWEEP_BLOCK_ENTRIES, sweep_radius_finite
+from tvdp.infinite import sweep_radius_infinite
 from tvdp.model import read_solution
 
 GOLDEN_ORACLE = '{"effective_radius":0.6,"maximizer":[0,1],"r_max":0.6,"value":100}\n'
@@ -252,6 +254,43 @@ def test_sweep_stationary_vector_cost_golden_bytes(capsys, tmp_path):
     )
     assert code == 0
     assert out == GOLDEN_SWEEP_VECTOR_COST
+
+
+@pytest.mark.parametrize("name,grid_text", [
+    # 5001 points, past the first 4096-point block of the machine model
+    ("machine", "0:2:0.0004"),
+    ("threestate", "0:2:0.1"),
+])
+def test_sweep_streams_the_bytes_of_the_listed_points(capsys, tmp_path, name, grid_text):
+    model = load_example(name)
+    grid = _parse_grid(grid_text)
+    if model.is_finite:
+        assert len(grid) > _SWEEP_BLOCK_ENTRIES // model.kernels.size
+        want = sweep_csv(sweep_radius_finite(model, grid), model.states)
+    else:
+        want = sweep_csv(sweep_radius_infinite(model, grid), model.states)
+    code, out, _ = run_cli(capsys, "sweep", "--model", name, "--radius-grid", grid_text)
+    assert code == 0
+    assert out == want
+    path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--model", name, "--radius-grid", grid_text, "--out", str(path)
+    )
+    assert code == 0
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("name", ["machine", "threestate"])
+def test_sweep_checks_every_radius_before_writing(capsys, tmp_path, name):
+    path = tmp_path / "sweep.csv"
+    for out in ([], ["--out", str(path)]):
+        code, text, err = run_cli(
+            capsys, "sweep", "--model", name, "--radius-grid", "0:3:0.5", *out
+        )
+        assert code == 1
+        assert "radius must lie in [0, 2]" in err
+        assert text == ""
+    assert not path.exists()
 
 
 def test_simulate_deterministic_json(capsys):

@@ -320,6 +320,41 @@ def test_policy_iteration_max_iter_exhaustion(threestate):
     assert trace.improvement_iterations == 1
 
 
+def _twin_threestate(scale):
+    """threestate with its costs times ``scale`` and every action followed by a
+    twin: the same row and cost, declared after the originals."""
+    doc = json.loads(example_model_text("threestate"))
+    for state in doc["states"]:
+        acts = doc["actions"][state]
+        doc["actions"][state] = acts + [a + "b" for a in acts]
+        for a in acts:
+            doc["kernel"][state][a + "b"] = doc["kernel"][state][a]
+            doc["cost"][state][a + "b"] = doc["cost"][state][a]
+        doc["cost"][state] = {a: scale * c for a, c in doc["cost"][state].items()}
+    return parse_model(doc)
+
+
+@pytest.mark.parametrize("mode,policy", [
+    ("paper", ("u2b", "u1", "u2b")),
+    ("fixed_point", ("u2", "u1", "u2")),
+])
+def test_policy_iteration_twin_actions_ignore_the_cost_scale(mode, policy):
+    # a challenger twin and the incumbent's solved value differ only by
+    # rounding noise, which grows with the costs: the action rule and the
+    # incumbent rule are both relative, so the answer and the path to it are
+    # the same at every scale
+    paths = set()
+    for scale in (1.0, 1e3, 1e6, 1e9, 1e12):
+        sol, trace = policy_iteration(
+            _twin_threestate(scale), initial_policy=("u2b",) * 3, mode=mode
+        )
+        assert sol.policy == policy, scale
+        assert trace.improvement_iterations == 2, scale
+        assert np.allclose(sol.values / scale, EXACT, rtol=1e-9, atol=0.0), scale
+        paths.add(tuple(step.policy for step in trace.steps))
+    assert len(paths) == 1
+
+
 def test_pi_fixed_point_matches_vi_on_radius_grid():
     rng = np.random.default_rng(36)
     for _ in range(50):

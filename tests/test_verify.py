@@ -83,6 +83,39 @@ def test_certify_shape_mismatch():
         certify_waterfill(mu, lv, r, np.array([0.2, 0.3, 0.5]))
 
 
+HALVES = [0.5, 0.5]
+
+
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(certify_waterfill, (HALVES, [0.0, 1.0], 0.5, [math.nan, math.nan]),
+                 id="certify-nan-candidate"),
+    pytest.param(certify_waterfill, (HALVES, [0.0, 1.0], 0.5, [0.25, math.inf]),
+                 id="certify-inf-candidate"),
+    pytest.param(certify_waterfill,
+                 (HALVES, [0.0, 1.0], 0.5, SimpleNamespace(maximizer=[0.5, 0.5], value=math.nan)),
+                 id="certify-nan-value"),
+    pytest.param(certify_waterfill, (HALVES, [0.0, math.nan], 0.5, [0.25, 0.75]),
+                 id="certify-nan-level"),
+    pytest.param(certify_waterfill, (HALVES, ["0", "1"], 0.5, [0.25, 0.75]),
+                 id="certify-string-levels"),
+    pytest.param(certify_waterfill, (HALVES, [0.0, 1.0, 2.0], 0.5, [0.25, 0.75]),
+                 id="certify-levels-shape"),
+    pytest.param(certify_waterfill, (HALVES, [0.0, 1.0], 7.0, [0.25, 0.75]),
+                 id="certify-radius-above-2"),
+    pytest.param(certify_waterfill, (HALVES, [0.0, 1.0], "0.5", [0.25, 0.75]),
+                 id="certify-string-radius"),
+    pytest.param(two_point_max_value, (HALVES, [0.0, 1.0], 7.0), id="two-point-radius-above-2"),
+    pytest.param(two_point_max_value, (HALVES, [0.0, 1.0], "0.5"), id="two-point-string-radius"),
+    pytest.param(two_point_max_value, (HALVES, ["0", "1"], 0.5), id="two-point-string-levels"),
+    pytest.param(two_point_max_value, (HALVES, [0.0, math.nan], 0.5), id="two-point-nan-level"),
+])
+def test_verify_oracles_reject_what_the_oracle_rejects(fn, args):
+    # a NaN certified with failures=0, or a radius of 7, would pass a check
+    # that never ran
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_two_point_closed_form_matches_waterfill():
     mu, lv, r = TWO_POINT
     assert abs(two_point_max_value(mu, lv, r) - 100.0) <= 1e-12
@@ -117,8 +150,9 @@ def test_brute_force_matches_dp_on_machine(machine):
 
 
 def test_brute_force_budget_guard(machine):
-    with pytest.raises(ModelError):
-        brute_force_finite(machine, budget=10)
+    # 4^10 Markov policies: refused before any is enumerated
+    with pytest.raises(ModelError, match="exceeds budget"):
+        brute_force_finite(machine.with_horizon(10))
 
 
 def test_brute_force_requires_horizon(threestate):
