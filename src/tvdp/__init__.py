@@ -64,10 +64,10 @@ from .verify import (
     RolloutSummary,
     brute_force_finite,
     certify_waterfill,
+    dual_max_value,
     fuzz_waterfill,
     markov_sufficiency_check,
     monte_carlo_rollout,
-    two_point_max_value,
 )
 
 __version__ = "0.1.0"
@@ -93,6 +93,7 @@ __all__ = [
     "brute_force_finite",
     "build_worst_kernels",
     "certify_waterfill",
+    "dual_max_value",
     "dumps_canonical",
     "evaluate_policy_finite",
     "example_model_text",
@@ -119,7 +120,6 @@ __all__ = [
     "sweep_radius_finite",
     "sweep_radius_infinite",
     "tv_distance",
-    "two_point_max_value",
     "unclamped_value",
     "value_iteration",
     "waterfill_maximize",

@@ -2,8 +2,8 @@
 
 Subcommands cover the whole toolkit: ``oracle`` (one ball maximization),
 ``solve-finite`` / ``solve-infinite`` (robust DP), ``sweep`` (value curves
-over a radius grid), ``certify`` (fuzz the oracle against independent
-probes), and ``simulate`` (Monte Carlo policy rollouts).
+over a radius grid), ``certify`` (prove fuzzed oracle results by the LP
+dual bound), and ``simulate`` (Monte Carlo policy rollouts).
 
 Results go to stdout or ``--out``; diagnostics go to stderr (opt in with
 ``TVDP_LOG=info`` or ``TVDP_LOG=debug``). Exit codes: 0 success, 1 invalid
@@ -295,9 +295,10 @@ def _build_parser():
 
     p = sub.add_parser(
         "certify",
-        help="fuzz the ball maximizer against independent probes",
-        description="Generates random instances, solves each, and certifies "
-        "the result against random feasible points and small-alphabet grids. "
+        help="prove fuzzed ball maximizers by the LP dual bound",
+        description="Generates random instances, solves each, and proves the "
+        "result optimal by the exact LP dual bound of the ball maximum, "
+        "also checking it against --trials random feasible points. "
         "Prints a JSON report; exits 1 if any instance fails.",
     )
     p.add_argument("--instances", type=int, default=10000, help="fuzzed instances")

@@ -166,11 +166,7 @@ def waterfill_maximize(mu, levels, radius, tie_tol=DEFAULT_TIE_TOL):
     -------
     WaterfillResult
     """
-    p = as_distribution(mu)
-    lv = _as_levels(levels)
-    if lv.shape != p.shape:
-        raise ValueError(f"levels shape {lv.shape} does not match mu shape {p.shape}")
-    r = _as_radius(radius)
+    p, lv, r = _as_instance(mu, levels, radius)
     nu, value, eff, r_max = _waterfill(p, lv, r, _as_tie_tol(tie_tol))
     return WaterfillResult(
         maximizer=nu, value=float(value), effective_radius=float(eff), r_max=float(r_max)
@@ -184,11 +180,7 @@ def unclamped_value(mu, levels, radius):
     to clamp (the argmin set cannot give up ``radius/2`` of mass, or the
     argmax set cannot absorb it).
     """
-    p = as_distribution(mu)
-    lv = _as_levels(levels)
-    if lv.shape != p.shape:
-        raise ValueError(f"levels shape {lv.shape} does not match mu shape {p.shape}")
-    r = _as_radius(radius)
+    p, lv, r = _as_instance(mu, levels, radius)
     return float(lv @ p) + 0.5 * r * float(lv.max() - lv.min())
 
 
@@ -212,6 +204,14 @@ def _as_levels(levels):
     if not np.all(np.isfinite(lv)):
         raise ValueError("levels must be finite")
     return lv
+
+
+def _as_instance(mu, levels, radius):
+    """``mu``, ``levels`` and ``radius`` of one ball maximization, checked."""
+    p, lv = as_distribution(mu), _as_levels(levels)
+    if lv.shape != p.shape:
+        raise ValueError(f"levels shape {lv.shape} does not match mu shape {p.shape}")
+    return p, lv, _as_radius(radius)
 
 
 def _as_tie_tol(tie_tol):

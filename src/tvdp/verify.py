@@ -1,9 +1,9 @@
 """Independent verification oracles and a Monte Carlo rollout estimator.
 
-Nothing here reuses solver reasoning: the water-fill certificate only probes
-candidate points of the ball, the finite-horizon check enumerates policies
-outright, and the rollout estimates values by simulation. These are the
-package's cross-examination tools; the acceptance tests are built on them.
+Nothing here reuses solver reasoning: every ball maximum is the exact LP dual
+bound (no water-fill, no tie rule), so a certificate is a proof. The
+finite-horizon checks enumerate policies outright, and the rollout estimates
+values by simulation. The acceptance tests are built on these tools.
 """
 
 import itertools
@@ -11,13 +11,12 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .finite import evaluate_policy_finite, solve_finite
+from .finite import solve_finite
 from .model import ModelError, dumps_canonical
-from .oracle import _as_levels, _as_radius, _as_reals, as_distribution, waterfill_maximize
+from .oracle import _as_instance, _as_reals, as_distribution, waterfill_maximize
 
 log = logging.getLogger("tvdp.verify")
 
@@ -31,7 +30,6 @@ CHUNK_SIZE = 16384
 # (rows, S) temporary has at most this many rows
 _DRAW_BLOCK = 2**16
 FEASIBILITY_TOL = 1e-12
-GRID_STEPS = 200
 # most policies the exhaustive checks enumerate: Markov policies in
 # brute_force_finite, history-dependent ones in markov_sufficiency_check
 BRUTE_FORCE_BUDGET = 10**6
@@ -65,13 +63,14 @@ class CertifyReport:
 
 
 def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
-    """Probe a claimed ball maximizer with random and grid candidates.
+    """Prove or refute a claimed ball maximizer by the exact dual bound.
 
     The candidate (a WaterfillResult or a bare vector) fails when it leaves
-    the simplex, leaves the TV ball, or is beaten by any probed feasible
-    point by more than 1e-9. Probes are random zero-sum mass transfers from
-    ``mu`` scaled to the ball boundary or interior, plus an exhaustive
-    simplex grid of step 1/200 for alphabets of up to three points.
+    the simplex, leaves the TV ball, or claims a value more than 1e-9 below
+    the ball maximum that :func:`dual_max_value` proves, or below any of
+    ``trials`` random probes of the ball (zero-sum mass transfers from
+    ``mu`` scaled to the ball boundary or interior). ``max_violation`` is the
+    worst excess of the bound or of a probe over the claimed value.
     ``mu``, ``levels`` and ``radius`` are checked as the oracle checks them;
     a candidate or claimed value that is not finite raises ``ValueError``.
     """
@@ -95,13 +94,9 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
         log.warning("candidate leaves the TV ball: %s > %s", np.abs(nu - p).sum(), r)
         failed = True
 
-    rng = np.random.default_rng(seed)
-    probes = [p[None, :], nu[None, :], _random_ball_points(rng, p, r, trials)]
-    if p.size <= 3:
-        grid = _simplex_grid(p.size)
-        inside = np.abs(grid - p).sum(axis=1) <= r + FEASIBILITY_TOL
-        probes.append(grid[inside])
-    best = max(float((c @ lv).max()) for c in probes if c.size)
+    bound = _dual_max_rows(p[None, :], lv[None, :], r)[0]
+    probes = _random_ball_points(np.random.default_rng(seed), p, r, trials)
+    best = float(np.max(probes @ lv, initial=bound))
     violation = max(best - value, 0.0)
     if violation > OPTIMALITY_TOL:
         log.warning("candidate beaten by %.3e", violation)
@@ -145,22 +140,15 @@ def fuzz_waterfill(instances=10000, trials=1000, seed=0, max_size=8):
     return report
 
 
-def two_point_max_value(mu, levels, radius):
-    """Closed-form ball maximum for a two-point alphabet.
+def dual_max_value(mu, levels, radius):
+    """Exact maximum of ``<levels, nu>`` over the TV ball of ``radius`` around ``mu``.
 
-    ``<levels, mu> + min(radius/2, mu(argmin), 1 - mu(argmax)) * spread``;
-    independent of the water-fill code path.
+    The least over levels ``lam`` of the LP dual bound ``<levels, mu> +
+    (radius/2)(max levels - lam) + sum_x mu(x)(lam - levels(x))^+`` (Iyengar
+    2005; Nilim and El Ghaoui 2005), at any alphabet size; no water-fill.
     """
     p, lv, r = _as_instance(mu, levels, radius)
-    if p.size != 2:
-        raise ValueError("two_point_max_value needs exactly two outcomes")
-    base = float(lv @ p)
-    if lv[0] == lv[1]:
-        return base
-    hi = int(np.argmax(lv))
-    lo = 1 - hi
-    shift = min(0.5 * r, float(p[lo]), 1.0 - float(p[hi]))
-    return base + shift * float(lv[hi] - lv[lo])
+    return float(_dual_max_rows(p[None, :], lv[None, :], r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +166,8 @@ def brute_force_finite(model):
     """Componentwise-minimal worst-case values over all Markov policies.
 
     Enumerates every deterministic per-stage action assignment and evaluates
-    each with the fixed-policy adversary; no backward-induction shortcut.
-    ``policies[i]`` records a policy attaining the minimum at start state i.
+    each with the fixed-policy adversary (dual bound); no backward-induction
+    shortcut. ``policies[i]`` records a policy attaining the minimum at i.
     """
     if not model.is_finite:
         raise ModelError("brute_force_finite needs a model with a horizon")
@@ -188,10 +176,13 @@ def brute_force_finite(model):
     if total > BRUTE_FORCE_BUDGET:
         raise ModelError(f"enumeration of {total} policies exceeds budget {BRUTE_FORCE_BUDGET}")
     n = model.n_states
+    radii = model.stage_radii()
     best = np.full(n, np.inf)
     best_pol = [None] * n
     for assignment in itertools.product(stage_space, repeat=model.horizon):
-        vals = evaluate_policy_finite(model, assignment)[0]
+        vals = model.terminal_cost
+        for j in range(model.horizon - 1, -1, -1):
+            vals = _policy_backup(model, model.starts + assignment[j], vals, radii[j + 1])
         for i in range(n):
             if vals[i] < best[i]:
                 best[i] = vals[i]
@@ -213,18 +204,17 @@ def markov_sufficiency_check(model):
 
     Enumerates every deterministic history-dependent policy of a tiny model
     (an action choice per state-history node), evaluates each against the
-    per-stage adversary, and compares the componentwise minimum with the
-    backward-induction values; the check passes when they differ by at most
-    ``OPTIMALITY_TOL``. Oracle evaluations are memoized by (stage, state,
-    action, child values), which dedupes identical pure computations without
-    skipping any policy.
+    per-stage adversary (dual bound), and compares the componentwise minimum
+    with the backward-induction values; the check passes when they differ by
+    at most ``OPTIMALITY_TOL``. Oracle evaluations are memoized by (stage,
+    state, action, child values), which dedupes identical pure computations
+    without skipping any policy.
     """
     if not model.is_finite:
         raise ModelError("markov_sufficiency_check needs a model with a horizon")
     n = model.n_states
     n_stage = model.horizon
     radii = model.stage_radii()
-    alpha = model.discount
     terminal = model.terminal_cost
 
     nodes = []     # nodes[j]: list of state-index histories of length j+1
@@ -247,12 +237,8 @@ def markov_sufficiency_check(model):
         key = (j, x, a, child_vals)
         out = memo.get(key)
         if out is None:
-            row = model.starts[x] + a
-            payoff = alpha * np.asarray(child_vals)
-            if model.cost_vector is not None:
-                payoff = model.cost_vector[row] + payoff
-            res = waterfill_maximize(model.kernels[row], payoff, radii[j + 1])
-            out = float(model.cost_scalar[row]) + res.value
+            rows = [model.starts[x] + a]
+            out = float(_policy_backup(model, rows, np.asarray(child_vals), radii[j + 1])[0])
             memo[key] = out
         return out
 
@@ -414,12 +400,29 @@ def monte_carlo_rollout(model, policy, config, kernels=None):
 # helpers
 
 
-def _as_instance(mu, levels, radius):
-    """``mu``, ``levels`` and ``radius`` checked by the oracle's rules."""
-    p, lv = as_distribution(mu), _as_levels(levels)
-    if lv.shape != p.shape:
-        raise ValueError(f"levels shape {lv.shape} does not match mu shape {p.shape}")
-    return p, lv, _as_radius(radius)
+def _dual_max_rows(kernels, payoffs, radius):
+    """:func:`dual_max_value` of each row of ``payoffs`` around that row of ``kernels``.
+
+    With a row's sorted levels ``l_k`` and masses ``m_k``, the bound at ``l_k``
+    is ``<l, m> + (radius/2)(l_max - l_k) + l_k M_k - L_k``, with ``M_k`` and
+    ``L_k`` the sums of ``m_i`` and ``m_i l_i`` over ``i <= k`` (term k adds 0).
+    """
+    order = np.argsort(payoffs, axis=1)
+    rows = np.arange(order.shape[0])[:, None]
+    lv, mass = payoffs[rows, order], kernels[rows, order]
+    under = np.cumsum(mass * lv, axis=1)
+    gain = 0.5 * radius * (lv[:, -1:] - lv) + lv * np.cumsum(mass, axis=1) - under
+    return (under[:, -1:] + gain).min(axis=1)
+
+
+def _policy_backup(model, rows, v, radius):
+    """``f + max <c + discount * v, nu>`` over the ball of ``radius``, at ``rows``."""
+    kernels = model.kernels[rows]
+    payoff = model.discount * v
+    if model.cost_vector is not None:
+        payoff = model.cost_vector[rows] + payoff
+    payoff = np.broadcast_to(payoff, kernels.shape)
+    return model.cost_scalar[rows] + _dual_max_rows(kernels, payoff, radius)
 
 
 def _auto_cap(alpha, f_max):
@@ -469,21 +472,6 @@ def _random_ball_points(rng, mu, radius, trials):
     dirs = np.maximum(dirs, 0.0)
     dirs /= dirs.sum(axis=1, keepdims=True)
     return np.vstack([pairs, dirs])
-
-
-@lru_cache(maxsize=None)
-def _simplex_grid(n):
-    if n == 1:
-        return np.ones((1, 1))
-    if n == 2:
-        i = np.arange(GRID_STEPS + 1, dtype=np.float64)
-        return np.column_stack([i, GRID_STEPS - i]) / GRID_STEPS
-    pts = [
-        (i, j, GRID_STEPS - i - j)
-        for i in range(GRID_STEPS + 1)
-        for j in range(GRID_STEPS + 1 - i)
-    ]
-    return np.asarray(pts, dtype=np.float64) / GRID_STEPS
 
 
 def _random_instance(rng, max_size):

@@ -354,6 +354,14 @@ def test_certify_small_campaign(capsys):
     assert doc["instances"] == 25
 
 
+def test_certify_without_probes_is_a_proof_campaign(capsys):
+    code, out, _ = run_cli(
+        capsys, "certify", "--instances", "200", "--max-size", "8", "--trials", "0"
+    )
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
+
+
 def test_help_and_version_exit_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "--version")[0] == 0

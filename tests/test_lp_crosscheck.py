@@ -5,9 +5,11 @@ An oracle that shares no code with the solver: each worst-case expectation
     max <payoff, nu>  s.t.  nu >= 0, sum(nu) = 1, sum|nu - mu| <= R
 
 is handed to HiGHS through ``scipy.optimize.linprog`` instead of the
-water-fill. It checks ``solve_finite`` on the machine model at every stage
-and radius of the ``0:2:0.05`` grid, and it reproduces the convex stretch of
-the stage-0 curve that acceptance criterion 5 pins. The same LP Bellman
+water-fill. It checks ``verify.dual_max_value``, the exact bound behind every
+independent check, on alphabets of 1 to 64 outcomes. It checks
+``solve_finite`` on the machine model at every stage and radius of the
+``0:2:0.05`` grid, and it reproduces the convex stretch of the stage-0 curve
+that acceptance criterion 5 pins. The same LP Bellman
 operator checks that value iteration, policy iteration and every point of a
 warm-started radius sweep return its fixed points, including on a model whose
 rows put no nominal mass on the argmax set and whose values tie exactly, and
@@ -30,6 +32,7 @@ from tvdp.infinite import (  # noqa: E402
     value_iteration,
 )
 from tvdp.oracle import BATCH_MIN_ENTRIES  # noqa: E402
+from tvdp.verify import dual_max_value  # noqa: E402
 
 GRID = [round(0.05 * k, 10) for k in range(41)]
 
@@ -130,6 +133,30 @@ def test_lp_ball_max_closed_form_cases():
     assert _lp_ball_max(mu, payoff, 0.4) == pytest.approx(90.0, abs=1e-9)
     # beyond R_max = 0.6 the ball is saturated
     assert _lp_ball_max(mu, payoff, 2.0) == pytest.approx(100.0, abs=1e-9)
+
+
+def _dual_case(rng, n):
+    """Levels and nominal of one size: free, tied, with zero masses, or a massless top."""
+    kind = n % 4
+    mu = rng.dirichlet(np.ones(n))
+    lv = rng.integers(-2, 3, n).astype(float) if kind == 1 else rng.normal(0.0, 10.0, n)
+    if kind == 2:
+        mu[rng.integers(0, n, size=max(1, n // 3))] = 0.0
+    elif kind == 3:
+        mu[lv >= lv.max()] = 0.0
+    if mu.sum() == 0.0:
+        mu[int(np.argmin(lv))] = 1.0
+    return mu / mu.sum(), lv
+
+
+def test_dual_max_value_matches_lp():
+    rng = np.random.default_rng(30)
+    for n in range(1, 65):
+        mu, lv = _dual_case(rng, n)
+        for radius in (0.0, 2.0, float(rng.uniform(0.0, 2.0))):
+            want = _lp_ball_max(mu, lv, radius)
+            got = dual_max_value(mu, lv, radius)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (n, radius, got, want)
 
 
 def test_lp_backward_induction_matches_solve_finite(lp_machine_curves):

@@ -19,6 +19,7 @@ from tvdp import (
 from tvdp.finite import _backup
 from tvdp.infinite import build_worst_kernels
 from tvdp.oracle import BATCH_MIN_ENTRIES, DEFAULT_TIE_TOL, _waterfill, _waterfill_rows
+from tvdp.verify import dual_max_value
 
 # hand-derived: (mu, levels, radius) -> (maximizer, value, effective_radius, r_max)
 FROZEN_CASES = [
@@ -403,6 +404,18 @@ def test_waterfill_rows_per_row_radius_matches_scalar_calls(batch, data):
             assert np.array_equal(nu[rows], want_nu[rows])
             assert np.array_equal(values[rows], want_values[rows])
     assert kernels.size < BATCH_MIN_ENTRIES <= big_kernels.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+def test_waterfill_value_equals_the_dual_bound(batch):
+    # the LP dual's least bound is the ball maximum; it groups no ties, so the
+    # water-fill groups exact ties only (the default tolerance would merge the
+    # near-ties of a chain and give up to that tolerance of the value)
+    kernels, levels, radius = batch
+    for mu, lv in zip(kernels, levels):
+        value = waterfill_maximize(mu, lv, radius, tie_tol=0.0).value
+        assert abs(value - dual_max_value(mu, lv, radius)) <= 1e-12 * max(1.0, abs(value))
 
 
 def _reference_backup(model, v, radius, policy_idx=None):

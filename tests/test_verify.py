@@ -17,10 +17,10 @@ from tvdp.verify import (
     RolloutConfig,
     brute_force_finite,
     certify_waterfill,
+    dual_max_value,
     fuzz_waterfill,
     markov_sufficiency_check,
     monte_carlo_rollout,
-    two_point_max_value,
 )
 
 TWO_POINT = (np.array([0.3, 0.7]), np.array([0.0, 100.0]), 0.85)
@@ -65,6 +65,17 @@ def test_certify_flags_suboptimal_feasible_point():
     assert not certify_waterfill(mu, lv, r, np.array([0.3, 0.7])).passed
 
 
+def test_certify_proves_without_probes():
+    # eight outcomes and no probes: only the dual bound can beat the nominal
+    rng = np.random.default_rng(4)
+    mu = rng.dirichlet(np.ones(8))
+    lv = rng.normal(0.0, 10.0, 8)
+    report = certify_waterfill(mu, lv, 0.5, mu, trials=0)
+    assert not report.passed
+    assert report.max_violation == pytest.approx(dual_max_value(mu, lv, 0.5) - lv @ mu)
+    assert certify_waterfill(mu, lv, 0.5, waterfill_maximize(mu, lv, 0.5), trials=0).passed
+
+
 def test_certify_flags_out_of_ball_candidate():
     report = certify_waterfill(
         np.array([0.8, 0.2]), np.array([0.0, 1.0]), 0.2, np.array([0.0, 1.0])
@@ -104,10 +115,10 @@ HALVES = [0.5, 0.5]
                  id="certify-radius-above-2"),
     pytest.param(certify_waterfill, (HALVES, [0.0, 1.0], "0.5", [0.25, 0.75]),
                  id="certify-string-radius"),
-    pytest.param(two_point_max_value, (HALVES, [0.0, 1.0], 7.0), id="two-point-radius-above-2"),
-    pytest.param(two_point_max_value, (HALVES, [0.0, 1.0], "0.5"), id="two-point-string-radius"),
-    pytest.param(two_point_max_value, (HALVES, ["0", "1"], 0.5), id="two-point-string-levels"),
-    pytest.param(two_point_max_value, (HALVES, [0.0, math.nan], 0.5), id="two-point-nan-level"),
+    pytest.param(dual_max_value, (HALVES, [0.0, 1.0], 7.0), id="dual-radius-above-2"),
+    pytest.param(dual_max_value, (HALVES, [0.0, 1.0], "0.5"), id="dual-string-radius"),
+    pytest.param(dual_max_value, (HALVES, ["0", "1"], 0.5), id="dual-string-levels"),
+    pytest.param(dual_max_value, (HALVES, [0.0, math.nan], 0.5), id="dual-nan-level"),
 ])
 def test_verify_oracles_reject_what_the_oracle_rejects(fn, args):
     # a NaN certified with failures=0, or a radius of 7, would pass a check
@@ -118,25 +129,20 @@ def test_verify_oracles_reject_what_the_oracle_rejects(fn, args):
 
 def test_two_point_closed_form_matches_waterfill():
     mu, lv, r = TWO_POINT
-    assert abs(two_point_max_value(mu, lv, r) - 100.0) <= 1e-12
+    assert abs(dual_max_value(mu, lv, r) - 100.0) <= 1e-12
     rng = np.random.default_rng(42)
     for _ in range(500):
         p = rng.uniform(0.0, 1.0)
         mu2 = np.array([p, 1.0 - p])
         lv2 = rng.uniform(-100.0, 100.0, 2)
         r2 = rng.choice([0.0, 2.0, rng.uniform(0.0, 2.0)])
-        want = two_point_max_value(mu2, lv2, r2)
+        want = dual_max_value(mu2, lv2, r2)
         got = waterfill_maximize(mu2, lv2, r2).value
         assert abs(want - got) <= 1e-12
 
 
-def test_two_point_rejects_other_sizes():
-    with pytest.raises(ValueError):
-        two_point_max_value([0.2, 0.3, 0.5], [1.0, 2.0, 3.0], 0.5)
-
-
 def test_two_point_constant_levels():
-    assert two_point_max_value([0.4, 0.6], [3.0, 3.0], 1.0) == pytest.approx(3.0)
+    assert dual_max_value([0.4, 0.6], [3.0, 3.0], 1.0) == pytest.approx(3.0)
 
 
 def test_brute_force_matches_dp_on_machine(machine):
@@ -147,6 +153,18 @@ def test_brute_force_matches_dp_on_machine(machine):
     for i, pol in enumerate(brute.policies):
         vals = evaluate_policy_finite(machine, pol)[0]
         assert vals[i] == pytest.approx(brute.values[i], abs=1e-12)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an independent check called into the solvers' kernel")
+
+
+def test_exhaustive_checks_share_no_kernel_with_the_solvers(machine, monkeypatch):
+    monkeypatch.setattr("tvdp.finite._backup", _refuse)
+    assert brute_force_finite(machine).values == pytest.approx([340.0625, 360.0625], abs=1e-12)
+    monkeypatch.undo()
+    monkeypatch.setattr("tvdp.verify.waterfill_maximize", _refuse)
+    assert markov_sufficiency_check(machine.with_horizon(2)).passed
 
 
 def test_brute_force_budget_guard(machine):
