@@ -45,7 +45,7 @@ from .model import (
     serialize_solution,
     solution_csv,
 )
-from .oracle import DEFAULT_TIE_TOL, waterfill_maximize
+from .oracle import waterfill_maximize
 from .verify import RolloutConfig, fuzz_waterfill, monte_carlo_rollout
 
 log = logging.getLogger("tvdp.cli")
@@ -92,7 +92,7 @@ def main(argv=None):
 def _cmd_oracle(args):
     mu = _parse_float_list(args.mu, "--mu")
     levels = _parse_float_list(args.levels, "--levels")
-    res = waterfill_maximize(mu, levels, args.radius, tie_tol=args.tie_tol)
+    res = waterfill_maximize(mu, levels, args.radius)
     doc = {
         "maximizer": [float(x) for x in res.maximizer],
         "value": res.value,
@@ -237,13 +237,12 @@ def _build_parser():
         "oracle",
         help="maximize <levels, nu> over the TV ball around mu",
         description="One closed-form ball maximization; prints JSON with the "
-        "maximizer, value, effective radius, and the saturation radius.",
+        "maximizer, value, effective radius, and the saturation radius. Levels "
+        "within the fixed relative tie tolerance 1e-9 form one level set.",
     )
     p.add_argument("--mu", required=True, help="nominal distribution, comma-separated")
     p.add_argument("--levels", required=True, help="payoff per outcome, comma-separated")
     p.add_argument("--radius", type=float, required=True, help="TV radius in [0, 2]")
-    p.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL,
-                   help="relative tolerance grouping equal payoff levels")
     _add_out(p)
     p.set_defaults(handler=_cmd_oracle)
 
@@ -298,7 +297,8 @@ def _build_parser():
         help="prove fuzzed ball maximizers by the LP dual bound",
         description="Generates random instances, solves each, and proves the "
         "result optimal by the exact LP dual bound of the ball maximum, "
-        "also checking it against --trials random feasible points. "
+        "also checking it against --trials random feasible points, within "
+        "1e-9 * max(1, max |levels|). "
         "Prints a JSON report; exits 1 if any instance fails.",
     )
     p.add_argument("--instances", type=int, default=10000, help="fuzzed instances")

@@ -192,7 +192,7 @@ def _backup(model, v, radius, policy_idx=None):
         counts = np.tile(counts, g)
         base, radius = np.repeat(base, m, axis=0), np.repeat(radius, m)
     payoff = np.broadcast_to(base, kernels.shape) if cv is None else cv + base
-    nus, wf_values = _waterfill_rows(kernels, payoff, radius, DEFAULT_TIE_TOL)
+    nus, wf_values = _waterfill_rows(kernels, payoff, radius)
     q = f + wf_values
     if policy_idx is not None:
         return q, np.array(policy_idx, dtype=np.intp), nus

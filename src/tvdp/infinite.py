@@ -29,7 +29,7 @@ import numpy as np
 
 from .finite import _argmin_rows, _backup
 from .model import ModelError, SolutionRecord, SweepPoint, _check_one_radius
-from .oracle import DEFAULT_TIE_TOL, _waterfill_rows
+from .oracle import _waterfill_rows
 
 log = logging.getLogger("tvdp.infinite")
 
@@ -79,7 +79,11 @@ class PolicyIterationStep:
 class PolicyIterationTrace:
     mode: str
     steps: tuple
-    improvement_iterations: int
+
+    @property
+    def improvement_iterations(self):
+        """Improvement steps, the final barren one included: ``len(steps) - 1``."""
+        return len(self.steps) - 1
 
 
 def apply_bellman(model, values):
@@ -170,7 +174,7 @@ def build_worst_kernels(model, reference_values):
     if ref.shape != (model.n_states,) or not np.all(np.isfinite(ref)):
         raise ModelError("reference_values must be a finite vector over the states")
     kernels, r = model.kernels, model.scalar_radius()
-    return _waterfill_rows(kernels, np.broadcast_to(ref, kernels.shape), r, DEFAULT_TIE_TOL)[0]
+    return _waterfill_rows(kernels, np.broadcast_to(ref, kernels.shape), r)[0]
 
 
 def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=1000):
@@ -275,10 +279,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         converged=converged,
         method="pi",
     )
-    trace = PolicyIterationTrace(
-        mode=mode, steps=tuple(steps), improvement_iterations=iterations
-    )
-    return solution, trace
+    return solution, PolicyIterationTrace(mode=mode, steps=tuple(steps))
 
 
 def sweep_radius_infinite(model, radii):

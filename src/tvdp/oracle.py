@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the tie tolerance, relative, of the one tie rule (see _sorted_groups) and
+# of the solvers' action rule; a constant, which no entry takes
 DEFAULT_TIE_TOL = 1e-9
 
 # a real number is any numbers.Real but a bool; int and float come first
@@ -107,26 +109,23 @@ class WaterfillResult:
     r_max: float
 
 
-def partition_levels(levels, tie_tol=DEFAULT_TIE_TOL):
+def partition_levels(levels):
     """Group a payoff vector into ascending level sets.
 
     Two entries land in the same set when they differ from the set's anchor
-    (its smallest member) by at most ``tie_tol * max(1, |anchor|)``.
+    (its smallest member) by at most ``DEFAULT_TIE_TOL * max(1, |anchor|)``.
 
     Parameters
     ----------
     levels : array-like
         Finite payoff per outcome.
-    tie_tol : float
-        Relative grouping tolerance, finite and non-negative; 0 groups exact
-        ties only.
 
     Returns
     -------
     SupportPartition
     """
     lv = _as_levels(levels).tolist()
-    order, starts = _sorted_groups(lv, _as_tie_tol(tie_tol))
+    order, starts = _sorted_groups(lv)
     groups = []
     for g, a in enumerate(starts):
         b = starts[g + 1] if g + 1 < len(starts) else len(lv)
@@ -140,7 +139,7 @@ def partition_levels(levels, tie_tol=DEFAULT_TIE_TOL):
     )
 
 
-def waterfill_maximize(mu, levels, radius, tie_tol=DEFAULT_TIE_TOL):
+def waterfill_maximize(mu, levels, radius):
     """Maximize ``<levels, nu>`` over the TV ball of ``radius`` around ``mu``.
 
     The maximizer lifts the argmax level set by half the effective radius
@@ -149,6 +148,10 @@ def waterfill_maximize(mu, levels, radius, tie_tol=DEFAULT_TIE_TOL):
     it actually carries. Within a set, mass moves proportionally to ``mu``
     (uniformly onto a massless argmax set), so the result is a genuine
     distribution at TV distance exactly ``min(radius, r_max)`` from ``mu``.
+    Level sets are grouped by the tie rule of :func:`partition_levels`. The
+    result is exact for the levels with each set lowered to its anchor, so
+    merged near-ties leave the value at most
+    ``DEFAULT_TIE_TOL * max(1, max |levels|)`` below the ball maximum.
 
     Parameters
     ----------
@@ -158,16 +161,13 @@ def waterfill_maximize(mu, levels, radius, tie_tol=DEFAULT_TIE_TOL):
         Finite payoff per outcome, same length as ``mu``.
     radius : float
         TV budget in ``[0, 2]``.
-    tie_tol : float
-        Relative tolerance for grouping equal levels; finite and
-        non-negative.
 
     Returns
     -------
     WaterfillResult
     """
     p, lv, r = _as_instance(mu, levels, radius)
-    nu, value, eff, r_max = _waterfill(p, lv, r, _as_tie_tol(tie_tol))
+    nu, value, eff, r_max = _waterfill(p, lv, r)
     return WaterfillResult(
         maximizer=nu, value=float(value), effective_radius=float(eff), r_max=float(r_max)
     )
@@ -214,13 +214,6 @@ def _as_instance(mu, levels, radius):
     return p, lv, _as_radius(radius)
 
 
-def _as_tie_tol(tie_tol):
-    t = float(tie_tol) if _is_real(tie_tol) else math.nan
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"tie_tol {tie_tol!r} is not a finite, non-negative real number")
-    return t
-
-
 def _as_radius(radius):
     r = float(radius) if _is_real(radius) else math.nan
     if not math.isfinite(r) or r < -1e-12 or r > 2.0 + 1e-12:
@@ -228,38 +221,38 @@ def _as_radius(radius):
     return min(max(r, 0.0), 2.0)
 
 
-def _sorted_groups(levels, tie_tol):
+def _sorted_groups(levels):
     """Stable ascending order of a ``levels`` list plus start offsets of its level sets.
 
     This is the package's one tie rule: an entry joins the current set when it
     exceeds the set's anchor (its smallest member) by at most
-    ``tie_tol * max(1, |anchor|)``.
+    ``DEFAULT_TIE_TOL * max(1, |anchor|)``.
     """
+    tol = DEFAULT_TIE_TOL
     order = sorted(range(len(levels)), key=levels.__getitem__)
     starts = [0]
     anchor = levels[order[0]]
     for k in range(1, len(order)):
         lv = levels[order[k]]
-        if lv - anchor > tie_tol * max(1.0, abs(anchor)):
+        if lv - anchor > tol * max(1.0, abs(anchor)):
             starts.append(k)
             anchor = lv
     return order, starts
 
 
-def _waterfill(mu, levels, radius, tie_tol):
+def _waterfill(mu, levels, radius):
     """Water-fill kernel behind :func:`waterfill_maximize` and every small backup.
 
     Takes a validated, normalized ``mu``, finite ``levels`` of the same
-    length, a radius in ``[0, 2]`` and a valid ``tie_tol``; the solvers call
-    it directly to skip that validation per kernel row. The loops run on
-    Python floats, which is the same IEEE arithmetic as on numpy scalars at a
-    fraction of the cost per entry. Returns
-    ``(nu, value, effective_radius, r_max)``.
+    length and a radius in ``[0, 2]``; the solvers call it directly to skip
+    that validation per kernel row. The loops run on Python floats, which is
+    the same IEEE arithmetic as on numpy scalars at a fraction of the cost per
+    entry. Returns ``(nu, value, effective_radius, r_max)``.
     """
     mu = mu.tolist()
     levels = levels.tolist()
     n = len(mu)
-    order, starts = _sorted_groups(levels, tie_tol)
+    order, starts = _sorted_groups(levels)
 
     nu = list(mu)
     if len(starts) == 1:
@@ -313,7 +306,7 @@ def _waterfill(mu, levels, radius, tie_tol):
     return np.array(nu), value, alpha, r_max
 
 
-def _waterfill_rows(kernels, levels, radius, tie_tol):
+def _waterfill_rows(kernels, levels, radius):
     """:func:`_waterfill` for every row of a stacked ``(M, n)`` kernel matrix.
 
     The one entry that fills the rows of a backup. ``levels`` holds each row's
@@ -336,7 +329,7 @@ def _waterfill_rows(kernels, levels, radius, tie_tol):
         values = np.empty(m)
         for i in range(m):
             r = radius if per_row is None else per_row[i]
-            nu[i], values[i], _, _ = _waterfill(kernels[i], levels[i], r, tie_tol)
+            nu[i], values[i], _, _ = _waterfill(kernels[i], levels[i], r)
         return nu, values
 
     order = np.argsort(levels, axis=1, kind="stable")
@@ -348,16 +341,17 @@ def _waterfill_rows(kernels, levels, radius, tie_tol):
     # start[r, k]: sorted entry k opens a level set of row r. Where every gap
     # clears the tolerance each entry is its own set; rows with a near-tie
     # take the anchored pass, column by column
+    tol = DEFAULT_TIE_TOL
     start = np.empty((m, n), dtype=bool)
     start[:, 0] = True
-    start[:, 1:] = lv[:, 1:] - lv[:, :-1] > tie_tol * np.maximum(1.0, np.abs(lv[:, :-1]))
+    start[:, 1:] = lv[:, 1:] - lv[:, :-1] > tol * np.maximum(1.0, np.abs(lv[:, :-1]))
     near = np.flatnonzero(~start.all(axis=1))
     if near.size:
         sub = lv[near]
         anchor = sub[:, 0]
         for k in range(1, n):
             col = sub[:, k]
-            opens = col - anchor > tie_tol * np.maximum(1.0, np.abs(anchor))
+            opens = col - anchor > tol * np.maximum(1.0, np.abs(anchor))
             start[near, k] = opens
             anchor = np.where(opens, col, anchor)
 

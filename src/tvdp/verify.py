@@ -66,10 +66,12 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
     """Prove or refute a claimed ball maximizer by the exact dual bound.
 
     The candidate (a WaterfillResult or a bare vector) fails when it leaves
-    the simplex, leaves the TV ball, or claims a value more than 1e-9 below
-    the ball maximum that :func:`dual_max_value` proves, or below any of
-    ``trials`` random probes of the ball (zero-sum mass transfers from
-    ``mu`` scaled to the ball boundary or interior). ``max_violation`` is the
+    the simplex, leaves the TV ball, claims a value off ``<levels, nu>``, or
+    claims a value below the ball maximum that :func:`dual_max_value` proves,
+    or below any of ``trials`` random probes of the ball (zero-sum mass
+    transfers from ``mu`` scaled to the ball boundary or interior). The two
+    value checks allow ``OPTIMALITY_TOL * max(1, max |levels|)``, the scale on
+    which the oracle's tie rule merges near-ties. ``max_violation`` is the
     worst excess of the bound or of a probe over the claimed value.
     ``mu``, ``levels`` and ``radius`` are checked as the oracle checks them;
     a candidate or claimed value that is not finite raises ``ValueError``.
@@ -83,8 +85,9 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
     if not (np.all(np.isfinite(nu)) and math.isfinite(value)):
         raise ValueError("candidate maximizer and claimed value must be finite")
 
+    tol = OPTIMALITY_TOL * max(1.0, float(np.abs(lv).max()))
     failed = False
-    if abs(value - achieved) > OPTIMALITY_TOL:
+    if abs(value - achieved) > tol:
         log.warning("claimed value %s disagrees with <levels, maximizer> %s", value, achieved)
         failed = True
     if nu.min() < -FEASIBILITY_TOL or abs(nu.sum() - 1.0) > FEASIBILITY_TOL:
@@ -98,7 +101,7 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
     probes = _random_ball_points(np.random.default_rng(seed), p, r, trials)
     best = float(np.max(probes @ lv, initial=bound))
     violation = max(best - value, 0.0)
-    if violation > OPTIMALITY_TOL:
+    if violation > tol:
         log.warning("candidate beaten by %.3e", violation)
         failed = True
     return CertifyReport(

@@ -14,6 +14,7 @@ from tvdp.infinite import policy_evaluation_nominal, value_iteration
 from tvdp.oracle import waterfill_maximize
 from tvdp.verify import (
     _DRAW_BLOCK,
+    OPTIMALITY_TOL,
     RolloutConfig,
     brute_force_finite,
     certify_waterfill,
@@ -21,6 +22,7 @@ from tvdp.verify import (
     fuzz_waterfill,
     markov_sufficiency_check,
     monte_carlo_rollout,
+    _random_instance,
 )
 
 TWO_POINT = (np.array([0.3, 0.7]), np.array([0.0, 100.0]), 0.85)
@@ -74,6 +76,47 @@ def test_certify_proves_without_probes():
     assert not report.passed
     assert report.max_violation == pytest.approx(dual_max_value(mu, lv, 0.5) - lv @ mu)
     assert certify_waterfill(mu, lv, 0.5, waterfill_maximize(mu, lv, 0.5), trials=0).passed
+
+
+def test_certify_accepts_a_merged_near_tie_at_large_levels():
+    # the tie rule merges 1000 + 6e-7 into the top set and returns 1000, 3e-7
+    # below the dual bound: within 1e-9 of the levels' scale, past a bare 1e-9
+    mu, lv, r = [0.5, 0.5, 0.0], [1000.0, 1000.0, 1000.0 + 6e-7], 1.0
+    result = waterfill_maximize(mu, lv, r)
+    assert result.value == 1000.0
+    for trials in (0, 1000):
+        report = certify_waterfill(mu, lv, r, result, trials=trials)
+        assert report.passed, trials
+        assert report.max_violation == pytest.approx(3e-7, rel=1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+def test_certify_accepts_oracle_outputs_at_large_levels(scale):
+    rng = np.random.default_rng(0)
+    for k in range(2000):
+        mu, lv, r = _random_instance(rng, 8)
+        lv = lv * scale
+        report = certify_waterfill(mu, lv, r, waterfill_maximize(mu, lv, r), seed=k)
+        assert report.passed, (k, mu, lv, r)
+
+
+def test_certify_flags_a_maximizer_short_by_ten_scaled_tolerances():
+    rng = np.random.default_rng(5)
+    mu = rng.dirichlet(np.ones(6))
+    lv = rng.normal(0.0, 10.0, 6) * 1e5
+    r = 0.8
+    result = waterfill_maximize(mu, lv, r)
+    short = 10 * OPTIMALITY_TOL * np.abs(lv).max()
+    # move mass from the argmax onto the argmin until the value drops by `short`
+    shift = short / (lv.max() - lv.min())
+    nu = result.maximizer.copy()
+    nu[np.argmax(lv)] -= shift
+    nu[np.argmin(lv)] += shift
+    assert float(lv @ nu) == pytest.approx(result.value - short, rel=1e-12)
+    for trials in (0, 1000):
+        report = certify_waterfill(mu, lv, r, nu, trials=trials)
+        assert not report.passed, trials
+        assert report.max_violation == pytest.approx(short, rel=1e-6)
 
 
 def test_certify_flags_out_of_ball_candidate():
@@ -355,6 +398,14 @@ def test_fuzz_report_shape_and_pass():
     payload = json.loads(report.to_json())
     assert set(payload) == {"check", "instances", "failures", "max_violation", "seed"}
     assert payload["seed"] == 3
+
+
+def test_fuzz_max_violation_stays_absolute():
+    # the scaled threshold decides a failure; max_violation is still the
+    # absolute excess, here rounding only
+    report = fuzz_waterfill(instances=3000, seed=0)
+    assert report.passed
+    assert report.max_violation <= 1e-11
 
 
 def test_fuzz_rejects_bad_counts():
