@@ -113,10 +113,7 @@ def sweep_radius_finite(model, radii):
     points go through one backward induction per block of
     ``_SWEEP_BLOCK_ENTRIES`` stacked kernel entries (at least one point), each
     stage one batched :func:`_backup`. A point gets the values and policy
-    that ``solve_finite`` gives it, with one exception: where the block's
-    stacked rows take the vectorized water-fill and one point's rows take the
-    per-row loop, the values may differ in the last bits (and the action
-    with them, at a near-tie on the edge of the tie tolerance).
+    that ``solve_finite`` gives it.
     """
     return [pt for block in _sweep_blocks(model, radii) for pt in block]
 

@@ -255,18 +255,12 @@ def _waterfill(mu, levels, radius):
     order, starts = _sorted_groups(levels)
 
     nu = list(mu)
-    if len(starts) == 1:
-        # constant payoff: the ball cannot change the value
-        value = 0.0
-        for i in range(n):
-            value += levels[i] * nu[i]
-        return np.array(nu), value, 0.0, 0.0
-
     top = starts[-1]
     mass_top = 0.0
     for i in order[top:]:
         mass_top += mu[i]
-    r_max = 2.0 * (1.0 - mass_top)
+    # one level set is a constant payoff: the ball cannot change the value
+    r_max = 2.0 * (1.0 - mass_top) if top else 0.0
     if r_max < 0.0:
         r_max = 0.0
     alpha = radius if radius < r_max else r_max
@@ -315,12 +309,10 @@ def _waterfill_rows(kernels, levels, radius):
     ``i`` gets the bits that a scalar call with ``radius[i]`` gives it. Below
     ``BATCH_MIN_ENTRIES`` entries (``M * n``) the rows go through
     :func:`_waterfill` one at a time, so the results are that kernel's bits.
-    From there on one vectorized pass fills them all: rows are grouped by the
-    tie rule of :func:`_sorted_groups` and level-set masses are summed as that
-    kernel sums them, but the drain of each lower set is
-    ``clip(R/2 - mass below it, 0, its mass)`` rather than a running budget,
-    so ``nu`` and the values may differ from the per-row kernel in the last
-    bits. Returns ``(nu, values)``.
+    From there on one vectorized pass fills them all with that kernel's
+    arithmetic in its order: the tie rule of :func:`_sorted_groups`, its
+    level-set masses, its running budget and its value sum, so either path
+    returns the same bits. Returns ``(nu, values)``.
     """
     m, n = kernels.shape
     if m * n < BATCH_MIN_ENTRIES:
@@ -362,24 +354,30 @@ def _waterfill_rows(kernels, levels, radius):
     mass = np.bincount(gflat.ravel(), weights=mu.ravel(), minlength=m * n).reshape(m, n)
     mass_top = np.take(mass, top + row_base[:, 0])
     r_max = np.where(top > 0, np.maximum(2.0 * (1.0 - mass_top), 0.0), 0.0)
-    half = 0.5 * np.minimum(radius, r_max)
+    half = 0.5 * np.where(radius < r_max, radius, r_max)
 
-    below = np.zeros((m, n))
-    np.cumsum(mass[:, :-1], axis=1, out=below[:, 1:])
-    take = np.minimum(np.maximum(half[:, None] - below, 0.0), mass)
-    take_e = np.take(take, gflat)
-    mass_e = np.take(mass, gflat)
-    # a set drained whole has take / mass == 1 exactly, so it lands on 0
-    drained = take_e > 0.0
-    nu_s = mu - mu * np.divide(take_e, mass_e, out=np.zeros((m, n)), where=drained)
+    # the kernel's running budget half - mass_0 - mass_1 - ..., one set at a
+    # time down the transpose, so each step subtracts over all rows at once
+    budget = np.subtract.accumulate(np.vstack((half, mass[:, :-1].T)), axis=0)
+    take = np.minimum(np.maximum(budget.T, 0.0), mass)
 
-    # the top set is lifted, never drained
+    # an entry becomes mu + mu * its set's factor: -take / mass if drained (-1,
+    # so 0, if whole), half / mass if the lifted top; 0.0 keeps mu, -0.0 too
+    factor = np.divide(-take, mass, out=np.zeros((m, n)), where=take > 0.0)
     lifted = mass_top > 0.0
-    scale = np.divide(half, mass_top, out=np.zeros(m), where=lifted)
-    is_top = gid == top[:, None]
-    add = np.where(lifted, 0.0, half / is_top.sum(axis=1))
-    nu_s = np.where(is_top, mu + mu * scale[:, None] + add[:, None], nu_s)
+    factor.ravel()[top + row_base[:, 0]] = np.divide(half, mass_top, out=np.zeros(m), where=lifted)
+    nu_s = mu + mu * np.take(factor, gflat)
+    # a massless top set gets half spread evenly, as mu + half / its size
+    bare = np.flatnonzero(~lifted)
+    if bare.size:
+        is_top = gid[bare] == top[bare, None]
+        add = half[bare] / is_top.sum(axis=1)
+        nu_s[bare] = np.where(is_top, mu[bare] + add[:, None], nu_s[bare])
 
     nu = np.empty((m, n))
     nu.ravel()[flat] = nu_s
-    return nu, np.einsum("ij,ij->i", lv, nu_s)
+    # the kernel's sum: from 0.0, levels[i] * nu[i] added in index order
+    values = np.zeros(m)
+    for col in (levels * nu).T:
+        values += col
+    return nu, values

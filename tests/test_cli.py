@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,34 @@ def test_non_convergence_exits_two(capsys):
         "--method", "pi", "--init", "u1,u2,u2", "--max-iter", "1",
     )
     assert code == 2
+
+
+# paper-mode PI freezes this model's rows from a nominal ordering that the
+# robust values do not share, and stops off the fixed point
+OFF_FIXED_POINT_MODEL = (
+    '{"states":["s0","s1","s2"],"actions":{"s0":["a0","a1"],"s1":["a0","a1"],'
+    '"s2":["a0","a1"]},"kernel":{"s0":{"a0":[0.013,0.739,0.248],"a1":[0.643,0.016,0.341]},'
+    '"s1":{"a0":[0.146,0.5,0.354],"a1":[0.809,0.001,0.19]},"s2":{"a0":[0.208,0.121,0.671],'
+    '"a1":[0.405,0.28,0.315]}},"cost":{"s0":{"a0":5.0,"a1":5.0},"s1":{"a0":0.0,"a1":5.0},'
+    '"s2":{"a0":3.0,"a1":5.0}},"discount":0.9,"radius":0.96}'
+)
+
+
+def test_paper_mode_off_the_fixed_point_exits_two(capsys, tmp_path):
+    path = tmp_path / "three.json"
+    path.write_text(OFF_FIXED_POINT_MODEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "solve-infinite", "--model", str(path), "--method", "pi", "--pi-mode", "paper"
+        )
+    assert code == 2
+    # the paper's values are written before the miss is reported
+    assert out == (
+        "stage,state,action,value\n"
+        "-1,s0,a0,31.3455955064\n-1,s1,a0,27.1250623722\n-1,s2,a0,30\n"
+    )
+    assert err.startswith("error: no convergence") and "residual 0.833192737559" in err
 
 
 @pytest.fixture

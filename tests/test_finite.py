@@ -188,8 +188,7 @@ def _assert_point_solved(model, point):
     """A sweep point against backward induction at its radius alone."""
     plans = solve_finite(model.with_radius(point.radius))
     assert point.policy == plans[0].policy, point.radius
-    gap = np.abs(point.values - plans[0].values)
-    assert np.all(gap <= 1e-12 * np.abs(plans[0].values)), point.radius
+    assert point.values.tobytes() == plans[0].values.tobytes(), point.radius
 
 
 def test_sweep_matches_per_point_solves():
@@ -212,14 +211,15 @@ def test_sweep_matches_per_point_solves():
 
 
 def test_sweep_single_point_is_the_per_point_solve(machine):
-    # one point of the machine model stays below the batched pass's threshold,
-    # so the sweep runs the per-row loop, bit for bit
-    assert machine.kernels.size < BATCH_MIN_ENTRIES
-    for r in (0.0, 0.85, 2.0):
-        (point,) = sweep_radius_finite(machine, [r])
-        plans = solve_finite(machine.with_radius(r))
-        assert point.policy == plans[0].policy
-        assert np.array_equal(point.values, plans[0].values)
+    # the machine model's rows take the per-row loop, the random model's the
+    # vectorized pass; either way a point is the per-point solve, bit for bit
+    big = random_model(np.random.default_rng(26), min_states=8, max_states=8,
+                       max_actions=3, horizon=4, vector_cost=True)
+    assert machine.kernels.size < BATCH_MIN_ENTRIES <= big.kernels.size
+    for model in (machine, big):
+        for r in (0.0, 0.85, 2.0):
+            (point,) = sweep_radius_finite(model, [r])
+            _assert_point_solved(model, point)
 
 
 def test_sweep_spans_blocks(machine):

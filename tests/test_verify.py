@@ -242,6 +242,33 @@ def test_markov_sufficiency_machine(machine):
     assert full.policies_enumerated == 2 ** (2 + 4 + 8)
 
 
+def _machine_costs_times(scale):
+    doc = json.loads(example_model_text("machine"))
+    doc["cost"] = {
+        s: {a: [scale * c for c in costs] for a, costs in acts.items()}
+        for s, acts in doc["cost"].items()
+    }
+    doc["terminal_cost"] = [scale * c for c in doc["terminal_cost"]]
+    return parse_model(doc).with_horizon(2)
+
+
+def test_markov_sufficiency_judges_on_the_values_scale():
+    # at values of 2.4e8 one rounding step exceeds an absolute 1e-9
+    report = markov_sufficiency_check(_machine_costs_times(1e6))
+    assert report.max_gap > 1e-9
+    assert report.passed
+
+
+def test_markov_sufficiency_fails_a_relative_shift(monkeypatch):
+    model = _machine_costs_times(1e6)
+    plans = solve_finite(model)
+    shifted = [SimpleNamespace(values=plans[0].values * (1.0 + 1e-6))]
+    monkeypatch.setattr("tvdp.verify.solve_finite", lambda m: shifted)
+    report = markov_sufficiency_check(model)
+    assert not report.passed
+    assert np.array_equal(report.markov_values, shifted[0].values)
+
+
 def test_markov_sufficiency_two_state_models():
     rng = np.random.default_rng(44)
     for radius in (0.0, 0.4, 1.0):
