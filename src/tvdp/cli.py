@@ -145,11 +145,13 @@ def _cmd_solve_infinite(args):
         )
     _emit_record(stationary_solution_record(model, sol), args.out)
     if not sol.converged:
-        print(
-            f"error: no convergence within {sol.iterations} iterations "
-            f"(residual {format_float(sol.residual)})",
-            file=sys.stderr,
-        )
+        why = f" within {sol.iterations} iterations"
+        # a repeated last policy is PI's barren improvement: it stopped before its cap
+        if args.method == "pi" and trace.steps[-1].policy == trace.steps[-2].policy:
+            why = (": policy iteration stopped off the fixed point after "
+                   f"{sol.iterations} improvement steps")
+        print(f"error: no convergence{why} (residual {format_float(sol.residual)})",
+              file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

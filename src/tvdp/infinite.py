@@ -4,8 +4,15 @@ The robust Bellman operator backed by the water-fill oracle,
 
     (T v)(x) = min_u [ f(x,u) + max_{nu in B_R(Q(.|x,u))} <c(x,u,.) + a*v, nu> ],
 
-is an sup-norm contraction with modulus ``a`` (the discount), so value
-iteration converges geometrically and the fixed point is unique.
+is a sup-norm contraction with modulus ``a`` (the discount), so value
+iteration converges geometrically and the fixed point is unique. T is also
+monotone and shifts constants by ``a``, so each iterate brackets the fixed
+point: with ``d = T V - V`` and ``k = a / (1 - a)``, ``T V + k min d`` and
+``T V + k max d`` bound it from below and above (MacQueen's bounds). The
+bracket's width is ``k`` times the oscillator seminorm ``max d - min d``,
+which shrinks much faster than the sup-norm step. Value iteration stops once
+that width is at most ``tol`` and returns the bracket's midpoint, within
+``tol / 2`` of the fixed point.
 
 Policy iteration comes in two modes. ``mode="paper"`` follows the paper's
 frozen-kernel scheme: evaluate the policy under the nominal kernel, order
@@ -100,39 +107,42 @@ def apply_bellman(model, values):
 
 
 def value_iteration(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Iterate the robust Bellman operator from zero until the update is small.
+    """Iterate the robust Bellman operator from zero until MacQueen's bracket is narrow.
 
-    The operator's radius is the model's. Stops once the sup-norm step falls
-    below ``tol * (1 - a) / (2 a)``, which bounds the fixed-point residual of
-    the returned values by ``tol``. Hitting ``max_iter`` first returns the best
-    iterate flagged ``converged=False``. ``tol`` must be finite and positive
-    and ``max_iter`` at least 1.
+    The operator's radius is the model's. With ``d = T V - V`` at an iterate
+    ``V``, every state obeys ``T V + k min d <= V* <= T V + k max d`` with
+    ``k = a / (1 - a)`` (MacQueen's bounds). The loop stops once the bracket's
+    width ``k (max d - min d)``, the oscillator seminorm of ``d`` scaled by
+    ``k``, is at most ``tol``, and returns the bracket's midpoint
+    ``T V + k (min d + max d) / 2``. Its sup-norm distance to the fixed point
+    is then at most ``tol / 2`` and its residual at most ``(1 + a) tol / 2``.
+    Hitting ``max_iter`` first returns the midpoint of the last bracket flagged
+    ``converged=False``. ``tol`` must be finite and positive and ``max_iter``
+    at least 1.
     """
     _require_stationary(model)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     _check_max_iter(max_iter)
     r = model.scalar_radius()
-    alpha = model.discount
-    threshold = tol * (1.0 - alpha) / (2.0 * alpha)
+    k = model.discount / (1.0 - model.discount)
 
     v = np.zeros(model.n_states)
     converged = False
-    iterations = 0
-    while iterations < max_iter:
+    for iterations in range(1, max_iter + 1):
         new_v, _, _ = _backup(model, v, r)
-        iterations += 1
-        delta = float(np.abs(new_v - v).max())
+        d = new_v - v
         v = new_v
-        if delta <= threshold:
+        if k * (d.max() - d.min()) <= tol:
             converged = True
             break
+    v = v + k * (d.min() + d.max()) / 2.0
 
     check, idx, rows = _backup(model, v, r)
     residual = float(np.abs(check - v).max())
     log.info(
-        "value_iteration: %d iterations, residual %.3e, converged=%s",
-        iterations, residual, converged,
+        "value_iteration: %d iterations, bracket width %.3e, residual %.3e, converged=%s",
+        iterations, k * (d.max() - d.min()), residual, converged,
     )
     return StationarySolution(
         values=v,

@@ -464,7 +464,33 @@ def test_paper_mode_off_the_fixed_point_exits_two(capsys, tmp_path):
         "stage,state,action,value\n"
         "-1,s0,a0,31.3455955064\n-1,s1,a0,27.1250623722\n-1,s2,a0,30\n"
     )
-    assert err.startswith("error: no convergence") and "residual 0.833192737559" in err
+    assert err == (
+        "error: no convergence: policy iteration stopped off the fixed point "
+        "after 1 improvement steps (residual 0.833192737559)\n"
+    )
+    assert "within" not in err
+
+
+def test_non_convergence_names_the_cap_only_when_it_was_reached(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "solve-infinite", "--model", "threestate", "--max-iter", "3")
+    assert code == 2
+    assert err.startswith("error: no convergence within 3 iterations (residual ")
+    code, _, err = run_cli(
+        capsys, "solve-infinite", "--model", "threestate",
+        "--method", "pi", "--init", "u1,u2,u2", "--max-iter", "1",
+    )
+    assert code == 2
+    assert err.startswith("error: no convergence within 1 iterations (residual ")
+    # a paper-mode stop off the fixed point at the cap's own step is still not the cap's
+    path = tmp_path / "three.json"
+    path.write_text(OFF_FIXED_POINT_MODEL)
+    code, _, err = run_cli(
+        capsys, "solve-infinite", "--model", str(path),
+        "--method", "pi", "--pi-mode", "paper", "--max-iter", "1",
+    )
+    assert code == 2
+    assert "stopped off the fixed point after 1 improvement steps" in err
+    assert "within" not in err
 
 
 @pytest.fixture

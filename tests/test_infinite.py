@@ -176,6 +176,56 @@ def test_value_iteration_max_iter_flagged(threestate):
     assert sol.residual > 0.0
 
 
+def _bracket(model, v):
+    """MacQueen's lower and upper bounds on the fixed point from the iterate ``v``."""
+    tv, _ = apply_bellman(model, v)
+    d = tv - v
+    k = model.discount / (1.0 - model.discount)
+    return tv + k * d.min(), tv + k * d.max()
+
+
+@pytest.mark.parametrize("vector_cost", [False, True])
+def test_value_iteration_stops_on_the_bracket(vector_cost):
+    rng = np.random.default_rng(27 + vector_cost)
+    for discount in (0.3, 0.6, 0.9, 0.95, 0.99):
+        for _ in range(4):
+            model = random_model(
+                rng, max_states=5, max_actions=3, vector_cost=vector_cost, discount=discount
+            )
+            exact, _ = policy_iteration(model)
+            for tol in (1e-4, 1e-6, 1e-9):
+                sol = value_iteration(model, tol=tol)
+                assert sol.converged
+                assert np.abs(sol.values - exact.values).max() <= tol / 2
+                assert sol.residual <= tol
+            # the fixed point lies inside the bracket of every iterate
+            scale = 1e-9 * np.maximum(1.0, np.abs(exact.values))
+            v = np.zeros(model.n_states)
+            for _ in range(30):
+                lo, hi = _bracket(model, v)
+                assert np.all(lo <= exact.values + scale)
+                assert np.all(exact.values <= hi + scale)
+                v, _ = apply_bellman(model, v)
+
+
+def test_value_iteration_example_takes_few_backups(threestate):
+    # the sup-norm step needs 222 backups here; the bracket's width needs 19
+    assert value_iteration(threestate).iterations <= 25
+
+
+def test_value_iteration_cap_returns_the_bracket_midpoint(threestate):
+    v = np.zeros(3)
+    for _ in range(2):
+        v, _ = apply_bellman(threestate, v)
+    lo, hi = _bracket(threestate, v)
+    sol = value_iteration(threestate, max_iter=3)
+    assert not sol.converged
+    assert np.allclose(sol.values, (lo + hi) / 2.0, rtol=0.0, atol=1e-12)
+    # the midpoint is closer to the fixed point than the third iterate
+    third, _ = apply_bellman(threestate, v)
+    assert np.abs(sol.values - EXACT).max() < np.abs(third - EXACT).max()
+
+
 @pytest.mark.parametrize("kwargs", [
     {"tol": float("nan"), "max_iter": 2000},
     {"tol": float("inf")},
