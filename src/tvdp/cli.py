@@ -412,12 +412,9 @@ def _check_seed(seed):
 
 def _parse_float_list(text, flag):
     try:
-        vals = [float(tok) for tok in text.split(",")]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ModelError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not vals:
-        raise ModelError(f"{flag} must not be empty")
-    return vals
 
 
 def _parse_label_list(text):

@@ -179,17 +179,14 @@ def _backup(model, v, radius, policy_idx=None):
     base = model.discount * v
     if policy_idx is not None:
         pick = starts + policy_idx
-        kernels, f = kernels[pick], f[pick]
-        cv = None if cv is None else cv[pick]
+        kernels, f, cv = kernels[pick], f[pick], cv[pick]
     elif v.ndim == 2:
         g, m = v.shape[0], kernels.shape[0]
-        kernels, f = np.tile(kernels, (g, 1)), np.tile(f, g)
-        cv = None if cv is None else np.tile(cv, (g, 1))
+        kernels, f, cv = np.tile(kernels, (g, 1)), np.tile(f, g), np.tile(cv, (g, 1))
         starts = (starts + m * np.arange(g)[:, None]).ravel()
         counts = np.tile(counts, g)
         base, radius = np.repeat(base, m, axis=0), np.repeat(radius, m)
-    payoff = np.broadcast_to(base, kernels.shape) if cv is None else cv + base
-    nus, wf_values = _waterfill_rows(kernels, payoff, radius)
+    nus, wf_values = _waterfill_rows(kernels, cv + base, radius)
     q = f + wf_values
     if policy_idx is not None:
         return q, np.array(policy_idx, dtype=np.intp), nus

@@ -18,9 +18,9 @@ Policy iteration comes in two modes. ``mode="paper"`` follows the paper's
 frozen-kernel scheme: evaluate the policy under the nominal kernel, order
 states by those values, build the worst kernel per (state, action) by
 water-filling against that ordering, solve the resulting linear system,
-improve greedily against the frozen kernels, repeat. It requires scalar stage
-costs (ordering states by values alone only captures the adversary's
-objective when costs do not depend on the next state). ``mode="fixed_point"``
+improve greedily against the frozen kernels, repeat. It rejects a non-zero
+next-state cost (ordering states by values alone only captures the
+adversary's objective when costs do not depend on the next state). ``mode="fixed_point"``
 evaluates each policy exactly: it alternates the adversary's maximizing rows
 against the current values with a linear solve under those rows until the
 rows no longer raise the values, and improves with a full robust backup. Its values are an exact
@@ -192,7 +192,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
     Parameters
     ----------
     model : RobustMdpModel
-        Stationary model; ``paper`` mode needs scalar stage costs.
+        Stationary model; ``paper`` mode rejects a non-zero next-state cost.
     initial_policy : sequence of action labels or indices, optional
         Defaults to the lowest-index action everywhere.
     mode : {"fixed_point", "paper"}
@@ -222,7 +222,7 @@ def policy_iteration(model, initial_policy=None, mode="fixed_point", max_iter=10
         raise ValueError(f"unknown policy iteration mode {mode!r}")
     if mode == "paper" and model.has_vector_cost:
         raise ModelError(
-            "policy_iteration(mode='paper') requires scalar stage costs; "
+            "policy_iteration(mode='paper') rejects a non-zero next-state cost; "
             "use mode='fixed_point' for next-state-dependent costs"
         )
     g = (
@@ -340,9 +340,8 @@ def _solve_linear(model, idx, rows):
     expectation under ``rows``, each dot summed as ``rows[i] @ c`` sums it.
     """
     pick = model.starts + idx
-    costs = model.cost_scalar[pick]
-    if model.cost_vector is not None:
-        costs = costs + (rows[:, None, :] @ model.cost_vector[pick][:, :, None])[:, 0, 0]
+    expected = (rows[:, None, :] @ model.cost_vector[pick][:, :, None])[:, 0, 0]
+    costs = model.cost_scalar[pick] + expected
     return np.linalg.solve(np.eye(rows.shape[0]) - model.discount * rows, costs)
 
 

@@ -64,15 +64,15 @@ class RobustMdpModel:
     ``Q(.|x_i, u_a)``, with ``M`` the number of (state, action) pairs.
     ``cost_scalar`` (``(M,)``) and ``cost_vector`` (``(M, n)``) follow the same
     rows and split each stage cost into its ``f(x, u)`` and ``c(x, u, z)``
-    parts; ``cost_vector`` is ``None`` when no pair has next-state costs and
-    holds zero rows for the pairs without them otherwise.
+    parts; a pair with a scalar cost has a zero ``cost_vector`` row, and a
+    list cost a zero ``cost_scalar`` entry.
     """
 
     states: tuple
     actions: tuple
     kernels: np.ndarray
     cost_scalar: np.ndarray
-    cost_vector: object
+    cost_vector: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
     discount: float
@@ -91,7 +91,8 @@ class RobustMdpModel:
 
     @property
     def has_vector_cost(self):
-        return self.cost_vector is not None
+        """Whether any stage cost depends on the next state (a non-zero ``cost_vector``)."""
+        return bool(self.cost_vector.any())
 
     def scalar_radius(self):
         """The single radius of a stationary model (or a broadcast scalar)."""
@@ -157,15 +158,10 @@ class RobustMdpModel:
         ``policy_idx`` is checked by :meth:`policy_indices`.
         """
         pick = self.starts + self.policy_indices(policy_idx)
-        mat = np.repeat(self.cost_scalar[pick, None], self.n_states, axis=1)
-        if self.cost_vector is not None:
-            mat += self.cost_vector[pick]
-        return mat
+        return self.cost_scalar[pick, None] + self.cost_vector[pick]
 
     def max_stage_cost(self):
         """Largest per-transition stage cost appearing anywhere in the model."""
-        if self.cost_vector is None:
-            return float(self.cost_scalar.max())
         return float((self.cost_scalar[:, None] + self.cost_vector).max())
 
 
@@ -216,9 +212,6 @@ def parse_model(source):
             f_vec.append(vec)
         _reject_extra_actions(krows, actions[i], f"kernel[{s!r}]")
         _reject_extra_actions(crows, actions[i], f"cost[{s!r}]")
-    cost_vector = None
-    if any(vec is not None for vec in f_vec):
-        cost_vector = np.array([np.zeros(n) if vec is None else vec for vec in f_vec])
     counts = np.array([len(acts) for acts in actions], dtype=np.intp)
 
     terminal = doc.get("terminal_cost")
@@ -236,7 +229,7 @@ def parse_model(source):
         actions=tuple(actions),
         kernels=np.array(rows),
         cost_scalar=np.array(f_sc),
-        cost_vector=cost_vector,
+        cost_vector=np.array(f_vec),
         starts=np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp),
         counts=counts,
         discount=discount,
@@ -337,7 +330,12 @@ def serialize_solution(record):
 
 
 def read_solution(text):
-    """Parse serialized solution JSON back into a SolutionRecord."""
+    """Parse serialized solution JSON back into a SolutionRecord.
+
+    A malformed document raises ModelError: a missing or mistyped field,
+    values that are not finite numbers, a policy without one action label per
+    state, or worst kernels that are not n-by-n matrices of distributions.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -345,32 +343,35 @@ def read_solution(text):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ModelError("solution document must be an object with a 'kind'")
     kind = doc.pop("kind")
-    states = tuple(doc.pop("states"))
-    if kind == "stationary":
-        values = (np.asarray(doc.pop("values"), dtype=np.float64),)
-        policies = (tuple(doc.pop("policy")),)
-        kernels = (_read_kernels(doc.pop("worst_kernel_matrix"), len(states)),)
-    elif kind == "finite":
-        stages = sorted(doc.pop("stages"), key=lambda st: st["stage"])
-        values, policies, kernels = [], [], []
-        for st in stages:
-            values.append(np.asarray(st["values"], dtype=np.float64))
-            policies.append(None if st["policy"] is None else tuple(st["policy"]))
-            kernels.append(_read_kernels(st["worst_kernels"], len(states)))
-        values, policies, kernels = tuple(values), tuple(policies), tuple(kernels)
-    else:
+    if kind not in ("stationary", "finite"):
         raise ModelError(f"unknown solution kind {kind!r}")
-    for v in values:
-        if v.shape != (len(states),) or not np.all(np.isfinite(v)):
-            raise ModelError("solution values malformed")
-    return SolutionRecord(
-        kind=kind,
-        states=states,
-        values=values,
-        policies=policies,
-        worst_kernels=kernels,
-        metadata=doc,
-    )
+    where = f"invalid {kind} solution document"
+    states = _parse_labels(_pop_field(doc, "states", where), f"{where}: states")
+    n = len(states)
+    if kind == "stationary":
+        stages, kernel_key = [doc], "worst_kernel_matrix"
+    else:
+        stages, kernel_key = _pop_field(doc, "stages", where), "worst_kernels"
+        if not isinstance(stages, list) or not all(
+            isinstance(st, dict) and type(st.get("stage")) is int for st in stages
+        ):
+            raise ModelError(f"{where}: stages must be objects with an integer 'stage'")
+        stages = sorted(stages, key=lambda st: st["stage"])
+        if [st["stage"] for st in stages] != list(range(len(stages))):
+            raise ModelError(f"{where}: stages must be numbered 0 to {len(stages) - 1}")
+    values, policies, kernels = [], [], []
+    for st in stages:
+        v = _real_vector(_pop_field(st, "values", where), n, f"{where}: values")
+        if not np.all(np.isfinite(v)):
+            raise ModelError(f"{where}: values must be finite")
+        policy = _pop_field(st, "policy", where)
+        labels = isinstance(policy, list) and all(isinstance(a, str) for a in policy)
+        if not (labels and len(policy) == n or policy is None and kind == "finite"):
+            raise ModelError(f"{where}: a policy needs one action label per state")
+        values.append(v)
+        policies.append(None if policy is None else tuple(policy))
+        kernels.append(_read_kernels(_pop_field(st, kernel_key, where), n, where))
+    return SolutionRecord(kind, states, tuple(values), tuple(policies), tuple(kernels), doc)
 
 
 def solution_csv(record):
@@ -513,7 +514,7 @@ def _parse_cost(val, n, state, action):
         sc = float(val)
         if not math.isfinite(sc) or sc < 0.0:
             raise ModelError(f"{where} must be finite and non-negative")
-        return sc, None
+        return sc, np.zeros(n)
     if isinstance(val, (list, tuple, np.ndarray)):
         return 0.0, _parse_cost_vector(val, n, where)
     raise ModelError(f"{where} must be a number or a length-{n} list")
@@ -591,15 +592,21 @@ def _listify(arr):
     return np.asarray(arr, dtype=np.float64).tolist()
 
 
-def _read_kernels(obj, n):
+def _pop_field(doc, key, where):
+    if key not in doc:
+        raise ModelError(f"{where}: missing {key!r}")
+    return doc.pop(key)
+
+
+def _read_kernels(obj, n, where):
     if obj is None:
         return None
-    mat = np.asarray(obj, dtype=np.float64)
-    if mat.shape != (n, n):
-        raise ModelError("worst kernels must be an n-by-n matrix")
+    if not isinstance(obj, list) or len(obj) != n:
+        raise ModelError(f"{where}: worst kernels must be an n-by-n matrix")
+    mat = np.array([_real_vector(row, n, f"{where}: a worst kernel row") for row in obj])
     for row in mat:
         try:
             as_distribution(row, sum_tol=1e-9, entry_tol=1e-9)
         except ValueError as exc:
-            raise ModelError(f"worst kernel row invalid: {exc}") from None
+            raise ModelError(f"{where}: worst kernel row invalid: {exc}") from None
     return mat

@@ -421,12 +421,8 @@ def _dual_max_rows(kernels, payoffs, radius):
 
 def _policy_backup(model, rows, v, radius):
     """``f + max <c + discount * v, nu>`` over the ball of ``radius``, at ``rows``."""
-    kernels = model.kernels[rows]
-    payoff = model.discount * v
-    if model.cost_vector is not None:
-        payoff = model.cost_vector[rows] + payoff
-    payoff = np.broadcast_to(payoff, kernels.shape)
-    return model.cost_scalar[rows] + _dual_max_rows(kernels, payoff, radius)
+    payoff = model.cost_vector[rows] + model.discount * v
+    return model.cost_scalar[rows] + _dual_max_rows(model.kernels[rows], payoff, radius)
 
 
 def _auto_cap(alpha, f_max):

@@ -18,6 +18,20 @@ def threestate():
     return load_example("threestate")
 
 
+# paper-mode policy iteration cycles on this 3-state model (found by a seeded
+# campaign over random models): its frozen kernels lead back to the policy
+# ('a2', 'a0', 'a2'), which it evaluated two improvements earlier
+CYCLING_PAPER_MODEL = (
+    '{"states":["s0","s1","s2"],"actions":{"s0":["a0","a1","a2"],"s1":["a0","a1","a2"],'
+    '"s2":["a0","a1","a2"]},"kernel":{"s0":{"a0":[0.682,0.135,0.183],'
+    '"a1":[0.166,0.24,0.594],"a2":[0.628,0.345,0.027]},"s1":{"a0":[0.131,0.134,0.735],'
+    '"a1":[0.134,0.311,0.555],"a2":[0.133,0.373,0.494]},"s2":{"a0":[0.493,0.207,0.3],'
+    '"a1":[0.143,0.081,0.776],"a2":[0.274,0.054,0.672]}},"cost":{"s0":{"a0":3.0,"a1":9.0,'
+    '"a2":2.95},"s1":{"a0":0.14,"a1":9.46,"a2":0.19},"s2":{"a0":4.07,"a1":3.53,"a2":2.56}},'
+    '"discount":0.9,"radius":1.5}'
+)
+
+
 def stationary_machine():
     """The machine model without a horizon, discounted: next-state costs."""
     doc = json.loads(example_model_text("machine"))
@@ -33,9 +47,7 @@ def classical_backup(model, v):
         best = np.inf
         for a in range(len(model.actions[i])):
             row = model.starts[i] + a
-            payoff = model.discount * v
-            if model.cost_vector is not None:
-                payoff = model.cost_vector[row] + payoff
+            payoff = model.cost_vector[row] + model.discount * v
             best = min(best, model.cost_scalar[row] + model.kernels[row] @ payoff)
         new[i] = best
     return new

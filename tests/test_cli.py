@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CYCLING_PAPER_MODEL
 from tvdp import example_model_text, load_example, sweep_csv
 from tvdp.cli import _parse_grid, main
 from tvdp.finite import _SWEEP_BLOCK_ENTRIES, sweep_radius_finite
@@ -469,6 +470,51 @@ def test_paper_mode_off_the_fixed_point_exits_two(capsys, tmp_path):
         "after 1 improvement steps (residual 0.833192737559)\n"
     )
     assert "within" not in err
+
+
+def test_paper_mode_revisiting_a_policy_exits_two_and_writes_nothing(capsys, tmp_path):
+    path = tmp_path / "cycling.json"
+    path.write_text(CYCLING_PAPER_MODEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "solve-infinite", "--model", str(path), "--method", "pi", "--pi-mode", "paper"
+        )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: policy ('a2', 'a0', 'a2') revisited at iteration 3 (mode=paper); "
+        "the policy evaluation is cycling\n"
+    )
+    # fixed-point evaluation solves the same model
+    code, out, _ = run_cli(capsys, "solve-infinite", "--model", str(path), "--method", "pi")
+    assert code == 0
+    assert out == (
+        "stage,state,action,value\n"
+        "-1,s0,a2,29.5\n-1,s1,a0,26.648231\n-1,s2,a2,29.11\n"
+    )
+
+
+@pytest.mark.parametrize("text,state,action", [
+    pytest.param(example_model_text("threestate"), "x3", "u2", id="threestate"),
+    pytest.param(OFF_FIXED_POINT_MODEL, "s1", "a0", id="off-fixed-point"),
+])
+def test_paper_mode_reads_zero_cost_lists_as_zero_scalars(capsys, tmp_path, text, state, action):
+    doc = json.loads(text)
+    assert doc["cost"][state][action] == 0.0
+    runs = []
+    for cost in (0.0, [0.0] * len(doc["states"]), [5.0] * len(doc["states"])):
+        doc["cost"][state][action] = cost
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        runs.append(run_cli(
+            capsys, "solve-infinite", "--model", str(path), "--method", "pi", "--pi-mode", "paper"
+        ))
+    scalar, zero_list, constant_list = runs
+    assert zero_list == scalar and scalar[1].startswith("stage,state,action,value\n")
+    # a constant non-zero list is still a next-state cost, which paper mode rejects
+    assert constant_list[:2] == (1, "")
+    assert "rejects a non-zero next-state cost" in constant_list[2]
 
 
 def test_non_convergence_names_the_cap_only_when_it_was_reached(capsys, tmp_path):

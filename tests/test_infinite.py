@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import CYCLING_PAPER_MODEL, random_model
 from tvdp import ModelError, example_model_text, parse_model, sweep_csv
 from tvdp.infinite import (
+    PolicyIterationError,
     apply_bellman,
     build_worst_kernels,
     policy_evaluation_nominal,
@@ -468,6 +469,32 @@ def test_policy_iteration_vector_costs():
         assert vi.converged and pi.converged
         assert np.abs(pi.values - vi.values).max() <= 1e-9
         assert pi.policy == vi.policy
+
+
+def test_paper_mode_raises_when_it_revisits_a_policy():
+    model = parse_model(CYCLING_PAPER_MODEL)
+    revisit = r"\('a2', 'a0', 'a2'\) revisited at iteration 3"
+    with pytest.raises(PolicyIterationError, match=revisit):
+        policy_iteration(model, mode="paper")
+    fixed, _ = policy_iteration(model, mode="fixed_point")
+    assert fixed.converged
+    assert np.abs(fixed.values - value_iteration(model).values).max() <= 1e-6
+
+
+def test_paper_mode_takes_zero_cost_lists_and_rejects_non_zero_ones(threestate):
+    doc = json.loads(example_model_text("threestate"))
+    doc["cost"]["x3"]["u2"] = [0, 0, 0]  # the document's scalar 0.0 as a list
+    zero_lists = parse_model(doc)
+    assert not zero_lists.has_vector_cost
+    init = ("u1", "u2", "u2")
+    got, _ = policy_iteration(zero_lists, initial_policy=init, mode="paper")
+    want, _ = policy_iteration(threestate, initial_policy=init, mode="paper")
+    assert np.array_equal(got.values, want.values) and got.policy == want.policy
+    # a constant list is a scalar cost in disguise, but paper mode's challenger
+    # values f + a (worst @ robust) leave the next-state part out
+    doc["cost"]["x2"]["u2"] = [5, 5, 5]
+    with pytest.raises(ModelError, match="rejects a non-zero next-state cost"):
+        policy_iteration(parse_model(doc), mode="paper")
 
 
 def test_policy_iteration_unknown_mode(threestate):

@@ -64,9 +64,7 @@ def _lp_bellman(model, v, radius):
         best = np.inf
         for a in range(len(model.actions[i])):
             row = model.starts[i] + a
-            payoff = model.discount * v
-            if model.cost_vector is not None:
-                payoff = model.cost_vector[row] + payoff
+            payoff = model.cost_vector[row] + model.discount * v
             worst = _lp_ball_max(model.kernels[row], payoff, radius)
             best = min(best, model.cost_scalar[row] + worst)
         new[i] = best

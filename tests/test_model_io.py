@@ -60,7 +60,10 @@ def test_stacked_rows_match_document():
         states, n = doc["states"], model.n_states
         doc_costs = [doc["cost"][s][a] for s in states for a in doc["actions"][s]]
         has_list = any(isinstance(c, list) for c in doc_costs)
-        assert (model.cost_vector is None) == (not has_list)
+        # one cost layout: a scalar cost is a zero row of the (M, n) matrix
+        assert model.cost_vector.shape == (len(doc_costs), n)
+        assert model.cost_vector.dtype == np.float64
+        assert model.has_vector_cost == any(isinstance(c, list) and any(c) for c in doc_costs)
         assert model.kernels.shape == (len(doc_costs), n)
         assert model.cost_scalar.shape == (len(doc_costs),)
         assert np.array_equal(model.counts, [len(doc["actions"][s]) for s in states])
@@ -80,9 +83,8 @@ def test_stacked_rows_match_document():
                     assert np.array_equal(model.cost_vector[row], cost)
                 else:
                     assert model.cost_scalar[row] == cost
-                    if model.cost_vector is not None:
-                        assert np.array_equal(model.cost_vector[row], np.zeros(n))
-                        zero_rows += 1
+                    assert np.array_equal(model.cost_vector[row], np.zeros(n))
+                    zero_rows += 1
                 row += 1
 
         # the per-state loops the row layout replaced
@@ -275,6 +277,72 @@ def test_solution_roundtrip_stationary(threestate):
     assert back.policies == record.policies
     assert np.allclose(back.values[0], record.values[0], rtol=1e-11, atol=1e-11)
     assert serialize_solution(back) == text
+
+
+# one-state solution documents that read_solution accepts as they are; the
+# finite one lists its stages out of order, which the reader sorts
+_STATIONARY_DOC = {
+    "kind": "stationary", "states": ["s"], "values": [1.0], "policy": ["a"],
+    "worst_kernel_matrix": [[1.0]], "discount": 0.9, "radius": 0.5,
+}
+_FINITE_DOC = {
+    "kind": "finite", "states": ["s"], "discount": 1.0, "horizon": 1, "radius": 0.5,
+    "stages": [
+        {"stage": 1, "values": [0.0], "policy": None, "worst_kernels": None},
+        {"stage": 0, "values": [1.0], "policy": ["a"], "worst_kernels": [[1.0]]},
+    ],
+}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _with_stage0(drop=None, **fields):
+    """The finite document with its stage-0 entry edited."""
+    stage0 = _without(dict(_FINITE_DOC["stages"][1], **fields), drop)
+    return dict(_FINITE_DOC, stages=[_FINITE_DOC["stages"][0], stage0])
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_without(_STATIONARY_DOC, "states"), id="missing-states"),
+    pytest.param(_without(_STATIONARY_DOC, "policy"), id="missing-policy"),
+    pytest.param(_without(_STATIONARY_DOC, "values"), id="missing-values"),
+    pytest.param(_without(_STATIONARY_DOC, "worst_kernel_matrix"), id="missing-kernel"),
+    pytest.param(_without(_FINITE_DOC, "stages"), id="missing-stages"),
+    pytest.param(_with_stage0(drop="values"), id="missing-stage-values"),
+    pytest.param(_with_stage0(drop="policy"), id="missing-stage-policy"),
+    pytest.param(dict(_STATIONARY_DOC, states=5), id="states-number"),
+    pytest.param(dict(_STATIONARY_DOC, states="s"), id="states-string"),
+    pytest.param(dict(_STATIONARY_DOC, values=["x"]), id="values-string"),
+    pytest.param(dict(_STATIONARY_DOC, values=[1.0, 2.0]), id="values-too-long"),
+    pytest.param(dict(_STATIONARY_DOC, policy=["a", "a"]), id="policy-too-long"),
+    pytest.param(dict(_STATIONARY_DOC, policy=None), id="stationary-policy-null"),
+    pytest.param(dict(_STATIONARY_DOC, policy=[0]), id="policy-index"),
+    pytest.param(dict(_STATIONARY_DOC, worst_kernel_matrix=[["x"]]), id="kernel-string"),
+    pytest.param(dict(_STATIONARY_DOC, worst_kernel_matrix=5), id="kernel-number"),
+    pytest.param(dict(_FINITE_DOC, stages=5), id="stages-number"),
+    pytest.param(dict(_FINITE_DOC, stages=[5]), id="stage-number"),
+    pytest.param(_with_stage0(stage="0"), id="stage-index-string"),
+    pytest.param(_with_stage0(stage=2), id="stage-index-gap"),
+    pytest.param(_with_stage0(values=["x"]), id="stage-values-string"),
+    pytest.param(_with_stage0(policy=["a", "a"]), id="stage-policy-too-long"),
+])
+def test_read_solution_rejects_malformed_documents(doc):
+    with pytest.raises(ModelError, match="invalid (stationary|finite) solution document"):
+        read_solution(json.dumps(doc))
+
+
+def test_read_solution_accepts_the_base_documents():
+    stationary = read_solution(json.dumps(_STATIONARY_DOC))
+    assert stationary.policies == (("a",),)
+    assert stationary.metadata == {"discount": 0.9, "radius": 0.5}
+    finite = read_solution(json.dumps(_FINITE_DOC))
+    assert finite.policies == (("a",), None)
+    assert finite.metadata == {"discount": 1.0, "horizon": 1, "radius": 0.5}
+    for record in (stationary, finite):
+        text = serialize_solution(record)
+        assert serialize_solution(read_solution(text)) == text
 
 
 def test_solution_csv_layout(machine, threestate):

@@ -436,9 +436,7 @@ def _reference_backup(model, v, radius, policy_idx=None):
         q, nus = [], []
         for a in actions:
             row = model.starts[i] + a
-            payoff = model.discount * v
-            if model.cost_vector is not None:
-                payoff = model.cost_vector[row] + payoff
+            payoff = model.cost_vector[row] + model.discount * v
             nu, value, _, _ = _waterfill(model.kernels[row], payoff, radius)
             q.append(model.cost_scalar[row] + value)
             nus.append(nu)
