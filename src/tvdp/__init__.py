@@ -25,6 +25,7 @@ from .infinite import (
     StationarySolution,
     apply_bellman,
     build_worst_kernels,
+    evaluate_policy_stationary,
     policy_evaluation_nominal,
     policy_iteration,
     stationary_solution_record,
@@ -96,6 +97,7 @@ __all__ = [
     "dual_max_value",
     "dumps_canonical",
     "evaluate_policy_finite",
+    "evaluate_policy_stationary",
     "example_model_text",
     "example_names",
     "finite_solution_record",

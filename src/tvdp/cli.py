@@ -27,7 +27,7 @@ from .finite import finite_solution_record, initial_worst_value, solve_finite
 from .infinite import (
     DEFAULT_TOL,
     PolicyIterationError,
-    _evaluate_adversary,
+    evaluate_policy_stationary,
     policy_iteration,
     stationary_solution_record,
     value_iteration,
@@ -173,12 +173,7 @@ def _cmd_sweep(args):
 
 def _cmd_certify(args):
     _check_seed(args.seed)
-    report = fuzz_waterfill(
-        instances=args.instances,
-        trials=args.trials,
-        seed=args.seed,
-        max_size=args.max_size,
-    )
+    report = fuzz_waterfill(instances=args.instances, seed=args.seed, max_size=args.max_size)
     _emit(report.to_json(), args.out)
     if not report.passed:
         print(f"error: {report.failures} certification failures", file=sys.stderr)
@@ -194,13 +189,8 @@ def _cmd_simulate(args):
     policy = _parse_label_list(args.policy)
     kernels = None
     if args.kernel == "worst":
-        if model.is_finite:
-            raise ModelError("simulate needs a model without a horizon")
         # the adversary's rows against this policy's own robust values
-        idx = model.policy_indices(policy)
-        _, kernels = _evaluate_adversary(
-            model, idx, np.zeros(model.n_states), model.scalar_radius()
-        )
+        _, kernels = evaluate_policy_stationary(model, policy)
     cfg = RolloutConfig(
         episodes=args.episodes,
         horizon_cap=args.horizon_cap,
@@ -299,12 +289,13 @@ def _build_parser():
         help="prove fuzzed ball maximizers by the LP dual bound",
         description="Generates random instances, solves each, and proves the "
         "result optimal by the exact LP dual bound of the ball maximum, "
-        "also checking it against --trials random feasible points, within "
-        "1e-9 * max(1, max |levels|). "
+        "within 1e-9 * max(1, max |levels|). "
         "Prints a JSON report; exits 1 if any instance fails.",
     )
     p.add_argument("--instances", type=int, default=10000, help="fuzzed instances")
-    p.add_argument("--trials", type=int, default=1000, help="random probes per instance")
+    # the random-probe count the dual-bound proof replaced: accepted and
+    # ignored, because perfbench/workloads.py still runs `certify --trials 200`
+    p.add_argument("--trials", type=int, help=argparse.SUPPRESS)
     p.add_argument("--max-size", type=int, default=8, help="largest alphabet size")
     p.add_argument("--seed", type=int, default=0, help="campaign seed")
     _add_out(p)

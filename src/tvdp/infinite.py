@@ -167,6 +167,20 @@ def policy_evaluation_nominal(model, policy):
     return _solve_linear(model, idx, model.kernels[model.starts + idx])
 
 
+def evaluate_policy_stationary(model, policy):
+    """Robust values of a fixed stationary policy, and the adversary's rows.
+
+    The policy's values under the worst kernel in the ball of the model's
+    radius: the adversary's own policy iteration from zero values, each of
+    its steps a linear solve under the maximizing rows. Returns
+    ``(values, rows)``, with ``rows[i]`` the adversary's row at state ``i``;
+    it raises ``PolicyIterationError`` when the adversary does not settle.
+    """
+    _require_stationary(model)
+    idx = model.policy_indices(policy)
+    return _evaluate_adversary(model, idx, np.zeros(model.n_states), model.scalar_radius())
+
+
 def build_worst_kernels(model, reference_values):
     """Maximizing kernel row per (state, action) against a state ordering.
 

@@ -419,11 +419,14 @@ def read_csv_rows(text):
 
 
 def format_float(x):
-    """Format a float at 12 significant digits (canonical across writers)."""
+    """Format a float at 12 significant digits (canonical across writers).
+
+    Negative zero prints as ``0``: adding ``+0.0`` turns ``-0.0`` into ``0.0``.
+    """
     x = float(x)
     if not math.isfinite(x):
         raise ModelError("cannot serialize non-finite number")
-    return "%.12g" % x
+    return "%.12g" % (x + 0.0)
 
 
 def dumps_canonical(obj):

@@ -62,17 +62,16 @@ class CertifyReport:
         ) + "\n"
 
 
-def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
+def certify_waterfill(mu, levels, radius, candidate, seed=0):
     """Prove or refute a claimed ball maximizer by the exact dual bound.
 
     The candidate (a WaterfillResult or a bare vector) fails when it leaves
     the simplex, leaves the TV ball, claims a value off ``<levels, nu>``, or
-    claims a value below the ball maximum that :func:`dual_max_value` proves,
-    or below any of ``trials`` random probes of the ball (zero-sum mass
-    transfers from ``mu`` scaled to the ball boundary or interior). The two
-    value checks allow ``OPTIMALITY_TOL * max(1, max |levels|)``, the scale on
-    which the oracle's tie rule merges near-ties. ``max_violation`` is the
-    worst excess of the bound or of a probe over the claimed value.
+    claims a value below the ball maximum that :func:`dual_max_value` proves.
+    The two value checks allow ``OPTIMALITY_TOL * max(1, max |levels|)``, the
+    scale on which the oracle's tie rule merges near-ties. ``max_violation``
+    is the excess of the bound over the claimed value, or 0 when there is
+    none. ``seed`` draws nothing; it only labels the report.
     ``mu``, ``levels`` and ``radius`` are checked as the oracle checks them;
     a candidate or claimed value that is not finite raises ``ValueError``.
     """
@@ -97,10 +96,8 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
         log.warning("candidate leaves the TV ball: %s > %s", np.abs(nu - p).sum(), r)
         failed = True
 
-    bound = _dual_max_rows(p[None, :], lv[None, :], r)[0]
-    probes = _random_ball_points(np.random.default_rng(seed), p, r, trials)
-    best = float(np.max(probes @ lv, initial=bound))
-    violation = max(best - value, 0.0)
+    bound = float(_dual_max_rows(p[None, :], lv[None, :], r)[0])
+    violation = max(bound - value, 0.0)
     if violation > tol:
         log.warning("candidate beaten by %.3e", violation)
         failed = True
@@ -113,12 +110,13 @@ def certify_waterfill(mu, levels, radius, candidate, trials=1000, seed=0):
     )
 
 
-def fuzz_waterfill(instances=10000, trials=1000, seed=0, max_size=8):
-    """Fuzz the water-fill oracle: random instances, certify each maximizer."""
+def fuzz_waterfill(instances=10000, seed=0, max_size=8):
+    """Fuzz the water-fill oracle: random instances, each maximizer certified.
+
+    ``max_violation`` is the worst excess of the dual bound over a claimed value.
+    """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
     if max_size < 2:
         raise ValueError(f"max_size must be at least 2, got {max_size}")
     rng = np.random.default_rng(seed)
@@ -127,9 +125,10 @@ def fuzz_waterfill(instances=10000, trials=1000, seed=0, max_size=8):
     for _ in range(instances):
         mu, lv, r = _random_instance(rng, max_size)
         result = waterfill_maximize(mu, lv, r)
-        sub = certify_waterfill(
-            mu, lv, r, result, trials=trials, seed=int(rng.integers(2**63))
-        )
+        # each instance once drew a seed for random ball probes; the draw
+        # stays so that every seed keeps its stream of instances
+        rng.integers(2**63)
+        sub = certify_waterfill(mu, lv, r, result)
         failures += sub.failures
         max_violation = max(max_violation, sub.max_violation)
     report = CertifyReport(
@@ -432,46 +431,6 @@ def _auto_cap(alpha, f_max):
     if target >= 1.0:
         return 1
     return max(1, math.ceil(math.log(target) / math.log(alpha)))
-
-
-def _random_ball_points(rng, mu, radius, trials):
-    """Feasible probes near and inside the ball boundary.
-
-    Half are single pairwise transfers (mass t from one outcome onto
-    another, t capped by radius/2 and the donor's mass), half are random
-    zero-sum directions scaled to the ball and the simplex.
-    """
-    if trials <= 0 or mu.size < 2:
-        return np.empty((0, mu.size))
-    n_pair = trials // 2
-    n_dir = trials - n_pair
-
-    donor = rng.integers(0, mu.size, size=n_pair)
-    shift = rng.integers(1, mu.size, size=n_pair)
-    receiver = (donor + shift) % mu.size
-    cap = np.minimum(0.5 * radius, mu[donor])
-    amount = cap * np.where(np.arange(n_pair) % 2 == 0, 1.0, rng.random(n_pair))
-    pairs = np.tile(mu, (n_pair, 1))
-    rows = np.arange(n_pair)
-    pairs[rows, donor] -= amount
-    pairs[rows, receiver] += amount
-
-    d = rng.standard_normal((n_dir, mu.size))
-    d -= d.mean(axis=1, keepdims=True)
-    norm = np.abs(d).sum(axis=1)
-    norm[norm == 0.0] = np.inf
-    with np.errstate(divide="ignore"):
-        s_ball = radius / norm
-        ratio = np.where(d < 0.0, mu / np.maximum(-d, 1e-300), np.inf)
-    s_feas = ratio.min(axis=1)
-    scale = np.minimum(s_ball, s_feas)
-    # half of these sit on the boundary, half explore the interior
-    interior = rng.random(n_dir)
-    scale = np.where(np.arange(n_dir) % 2 == 0, scale, scale * interior)
-    dirs = mu + scale[:, None] * d
-    dirs = np.maximum(dirs, 0.0)
-    dirs /= dirs.sum(axis=1, keepdims=True)
-    return np.vstack([pairs, dirs])
 
 
 def _random_instance(rng, max_size):

@@ -87,7 +87,7 @@ def test_criterion_2_infinite_horizon_example(threestate, capsys):
 
 def test_criterion_3_oracle_certification(capsys):
     t0 = time.perf_counter()
-    report = fuzz_waterfill(instances=10000, trials=1000, seed=0, max_size=8)
+    report = fuzz_waterfill(instances=10000, seed=0, max_size=8)
     worst_two_point = 0.0
     rng = np.random.default_rng(7)
     for _ in range(2000):

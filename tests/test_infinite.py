@@ -11,6 +11,7 @@ from tvdp.infinite import (
     PolicyIterationError,
     apply_bellman,
     build_worst_kernels,
+    evaluate_policy_stationary,
     policy_evaluation_nominal,
     policy_iteration,
     stationary_solution_record,
@@ -139,6 +140,15 @@ def test_apply_bellman_at_fixed_point(threestate):
     assert np.allclose(values, (6.79, 7.43, 6.32), atol=0.02)
 
 
+def test_evaluate_policy_stationary_example(threestate):
+    values, rows = evaluate_policy_stationary(threestate, ("u1", "u1", "u1"))
+    assert np.abs(values - np.array([410 / 17, 1565 / 68, 1675 / 68])).max() <= 1e-10
+    for i in range(3):
+        nominal = threestate.kernels[threestate.starts[i]]
+        assert rows[i].min() >= 0.0 and rows[i].sum() == pytest.approx(1.0, abs=1e-12)
+        assert tv_distance(rows[i], nominal) <= 2.0 / 3.0 + 1e-12
+
+
 def test_value_iteration_example(threestate):
     sol = value_iteration(threestate)
     assert sol.converged
@@ -250,6 +260,8 @@ def test_policy_iteration_rejects_bad_max_iter(threestate, max_iter):
 def test_value_iteration_requires_stationary(machine):
     with pytest.raises(ModelError):
         value_iteration(machine)
+    with pytest.raises(ModelError):
+        evaluate_policy_stationary(machine, ("m", "r"))
 
 
 def test_geometric_residual_decay():

@@ -377,6 +377,7 @@ def test_dumps_canonical_is_deterministic():
     b = dumps_canonical({"c": {"x": "s", "y": 0.1}, "a": [1.5, None, True], "b": 1})
     assert a == b
     assert a == '{"a":[1.5,null,true],"b":1,"c":{"x":"s","y":0.1}}'
+    assert dumps_canonical([-0.0]) == "[0]"
 
 
 def test_dumps_canonical_rejects_non_finite():
@@ -391,6 +392,7 @@ def test_format_float_twelve_significant_digits():
     assert format_float(0.1) == "0.1"
     assert format_float(2.0 / 3.0) == "0.666666666667"
     assert format_float(340.0625) == "340.0625"
+    assert format_float(-0.0) == "0"
 
 
 def test_random_documents_roundtrip_through_json():
